@@ -3,9 +3,12 @@
 //!
 //! The hot loop here runs the dense form built by [`PreparedModule`]: one
 //! flat op arena per function, absolute branch targets, pre-folded cycle
-//! costs and pre-classified backedges, so `step()` is a single fetch of
-//! `ops[ip]` and a straight `match` on the decoded [`OpKind`] — no block
-//! lookup, no cost re-derivation, no backedge-set probe. The semantic
+//! costs and pre-classified backedges, so each dispatch is a single fetch
+//! of `ops[ip]` and a straight `match` on the decoded [`OpKind`] — no
+//! block lookup, no cost re-derivation, no backedge-set probe. One thread
+//! runs in [`Machine::run_slice`] until a reschedule point, with the
+//! running frame's `ops`, `ip`, slot base and locals window held in local
+//! variables (DESIGN.md decision 17). The semantic
 //! reference for this engine is the tree-walking interpreter in
 //! [`crate::naive`]; the two are differentially tested to produce
 //! identical [`Outcome`]s.
@@ -23,7 +26,7 @@ use crate::cost::CostModel;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::outcome::Outcome;
-use crate::prepared::{InstrEffect, Op, OpKind, PreparedModule};
+use crate::prepared::{InstrEffect, Op, OpKind, PreparedFunction, PreparedModule};
 use crate::profile::{NoMetrics, ProfileSink};
 use crate::sched::SchedControl;
 use crate::trace::{BurstRecord, NoTrace, TraceSink};
@@ -169,7 +172,15 @@ pub fn run_prepared_traced<S: TraceSink>(
     config: &VmConfig,
     sink: &mut S,
 ) -> Result<Outcome, VmError> {
-    run_prepared_observed(prepared, config, sink, &mut NoMetrics)
+    // The default control is the recording-free round-robin fast path —
+    // this call adds nothing to the plain hot loop.
+    run_prepared_sched(
+        prepared,
+        config,
+        sink,
+        &mut NoMetrics,
+        &mut SchedControl::default(),
+    )
 }
 
 /// [`run_prepared`] with a per-opcode dispatch-profile sink. See
@@ -187,34 +198,19 @@ pub fn run_prepared_profiled<P: ProfileSink>(
     config: &VmConfig,
     profile: &mut P,
 ) -> Result<Outcome, VmError> {
-    run_prepared_observed(prepared, config, &mut NoTrace, profile)
+    run_prepared_sched(
+        prepared,
+        config,
+        &mut NoTrace,
+        profile,
+        &mut SchedControl::default(),
+    )
 }
 
-/// [`run_prepared`] with both observers: a burst-trace sink and a
+/// [`run_prepared`] with both observers — a burst-trace sink and a
 /// dispatch-profile sink, each independently monomorphized ([`NoTrace`] /
-/// [`NoMetrics`] compile their recording sites away).
-///
-/// # Panics
-///
-/// Panics if `config.cost` differs from the preparation cost model.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`run`] does.
-pub fn run_prepared_observed<S: TraceSink, P: ProfileSink>(
-    prepared: &PreparedModule,
-    config: &VmConfig,
-    sink: &mut S,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    // The default control is the recording-free round-robin fast path —
-    // this call adds nothing to the plain hot loop.
-    let mut sched = SchedControl::default();
-    run_prepared_sched(prepared, config, sink, profile, &mut sched)
-}
-
-/// [`run_prepared_observed`] with an explicit scheduling control: a
-/// [`SchedControl`] selecting the policy (round-robin, seeded-random or
+/// [`NoMetrics`] compile their recording sites away) — and an explicit
+/// scheduling control: a [`SchedControl`] selecting the policy (round-robin, seeded-random or
 /// PCT), replaying a recorded [`crate::ScheduleTrace`], or following a DFS
 /// choice prefix. See [`crate::sched`] for the scheduling contract; the
 /// recorded trace stays in `sched` after the run.
@@ -241,7 +237,7 @@ pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
         "run_prepared: config cost model differs from the preparation cost model"
     );
     let mut machine = Machine::new(prepared, config, sink, profile, sched);
-    let result = machine.run_to_completion();
+    let result = machine.run_to_completion().map_err(|t| *t.0);
     if P::ENABLED {
         machine.fold_profile(result.as_ref().err());
     }
@@ -254,19 +250,25 @@ pub fn run_prepared_sched<S: TraceSink, P: ProfileSink>(
     }
 }
 
+/// One activation record. While its thread runs a slice, the top frame's
+/// `ip` lives in a register of [`Machine::run_slice`] and is stale here;
+/// it is written back at the write-back points (calls, slice exits).
 struct Frame<'p> {
     func: FuncId,
-    /// The function's decoded op arena, cached at call time so the fetch
-    /// in `step()` is a single slice index.
+    /// The function's decoded op arena, cached at call time so a return
+    /// reloads the caller's registers without a function lookup.
     ops: &'p [Op],
     /// The function's offset into the module-wide slot space
     /// ([`PreparedFunction::slot_base`]), cached at call time so the
-    /// profiled engine's counter bump is `slot_counts[base + ip]` with no
+    /// profiled engine's counter bump is `entry_deltas[base + ip]` with no
     /// per-dispatch function lookup.
     base: u32,
-    /// Absolute index into the function's op arena.
+    /// Absolute index into the function's op arena: the next op to run
+    /// for a suspended frame, the attempted op for a frame a trap unwound
+    /// from.
     ip: usize,
-    locals: Vec<Value>,
+    /// Offset of this frame's locals in its thread's value stack.
+    fp: usize,
     ret_dst: Option<LocalId>,
     caller: Option<(FuncId, CallSiteId)>,
     /// Ball–Larus path register. `None` means "no path in progress": set
@@ -285,13 +287,30 @@ enum ThreadState {
 
 struct Thread<'p> {
     frames: Vec<Frame<'p>>,
+    /// The thread's one contiguous value stack: frame `i`'s locals are
+    /// `stack[frames[i].fp..]` up to the next frame's `fp`, so the top
+    /// frame's locals are the stack's tail. Grows on demand at calls and
+    /// shrinks back at returns; a finished thread drops it.
+    stack: Vec<Value>,
     state: ThreadState,
 }
 
-enum Step {
-    Ran,
-    SwitchRequested,
+/// The dispatch loop's error: the trap, boxed so the loop's result is one
+/// word and the 40-byte [`TrapKind`] (with its `String` payloads) is only
+/// built on the cold path.
+struct Trap(Box<TrapKind>);
+
+impl From<TrapKind> for Trap {
+    #[cold]
+    #[inline(never)]
+    fn from(kind: TrapKind) -> Self {
+        Trap(Box::new(kind))
+    }
 }
+
+// Size pins for the hot loop's result type: a later change must not grow
+// the loop's error path back to a `TrapKind`-sized return.
+const _: () = assert!(std::mem::size_of::<Result<(), Trap>>() == 8);
 
 struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     prepared: &'p PreparedModule,
@@ -322,9 +341,6 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     last_sample_instructions: u64,
     sample_switch: u64,
     trigger: TriggerState,
-    /// Whether the trigger observes the clock at all (only the timer-bit
-    /// trigger does), letting `charge` skip the per-instruction tick.
-    timer_active: bool,
     timeslice: u64,
     max_cycles: Option<u64>,
     max_stack: usize,
@@ -342,6 +358,11 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     // Clock and scheduler bit.
     cycles: u64,
     next_switch: u64,
+    /// The clock value at which `charge_cycles` must leave its fast path:
+    /// the next timer-trigger tick, the next threadswitch-bit set, or the
+    /// first cycle past the fuel budget or cancellation point, whichever
+    /// comes first. One compare per charge instead of four.
+    next_event: u64,
     switch_bit: bool,
     // Counters.
     instructions: u64,
@@ -353,10 +374,6 @@ struct Machine<'p, 's, S: TraceSink, P: ProfileSink> {
     thread_switches: u64,
     output: Vec<i64>,
     profile: ProfileData,
-    /// Reused buffer for call/spawn argument marshalling, so the hot call
-    /// path doesn't allocate a fresh `Vec` per call. Taken at the start of
-    /// a call arm and restored (cleared) after the frame push.
-    arg_scratch: Vec<Value>,
     /// Scheduling seam: picks the next thread at every reschedule point.
     /// The default control is the historical round-robin scan with
     /// recording off, which costs nothing over the old hard-coded loop.
@@ -372,24 +389,31 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         sched: &'s mut SchedControl,
     ) -> Self {
         let main = prepared.module().main();
-        let main_frame = Frame {
-            func: main,
-            ops: &prepared.func(main).ops,
-            base: prepared.func(main).slot_base,
-            ip: 0,
-            locals: vec![Value::Unit; prepared.func(main).num_locals],
-            ret_dst: None,
-            caller: None,
-            path_reg: None,
+        let pf = prepared.func(main);
+        let main_thread = Thread {
+            frames: vec![Frame {
+                func: main,
+                ops: &pf.ops,
+                base: pf.slot_base,
+                ip: 0,
+                fp: 0,
+                ret_dst: None,
+                caller: None,
+                path_reg: None,
+            }],
+            stack: vec![Value::Unit; pf.num_locals],
+            state: ThreadState::Runnable,
         };
-        Machine {
+        let timeslice = config.timeslice.max(1);
+        let cancel_after = cancel::armed_after();
+        let mut machine = Machine {
             prepared,
             sink,
             psink,
             entry_deltas: if P::ENABLED {
                 let mut d = vec![0; prepared.total_slots()];
                 // Main's frame enters at its arena's slot 0.
-                if let Some(e) = d.get_mut(prepared.func(main).slot_base as usize) {
+                if let Some(e) = d.get_mut(pf.slot_base as usize) {
                     *e += 1;
                 }
                 d
@@ -405,20 +429,17 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             last_sample_instructions: 0,
             sample_switch: prepared.cost().sample_switch,
             trigger: TriggerState::new(config.trigger),
-            timer_active: matches!(config.trigger, Trigger::TimerBit { .. }),
-            timeslice: config.timeslice.max(1),
+            timeslice,
             max_cycles: config.limits.max_cycles,
             max_stack: config.limits.max_stack,
             cancel: cancel::armed_token(),
-            cancel_after: cancel::armed_after(),
+            cancel_after,
             heap: Heap::with_limit(config.limits.max_heap_words),
-            threads: vec![Thread {
-                frames: vec![main_frame],
-                state: ThreadState::Runnable,
-            }],
+            threads: vec![main_thread],
             current: 0,
             cycles: 0,
-            next_switch: config.timeslice.max(1),
+            next_switch: timeslice,
+            next_event: 0,
             switch_bit: false,
             instructions: 0,
             checks_executed: 0,
@@ -429,9 +450,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             thread_switches: 0,
             output: Vec::new(),
             profile: ProfileData::new(),
-            arg_scratch: Vec::new(),
             sched,
-        }
+        };
+        machine.next_event = machine.event_horizon();
+        machine
     }
 
     fn into_outcome(self) -> Outcome {
@@ -457,34 +479,20 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
             .unwrap_or_else(|| "<no frame>".to_owned())
     }
 
-    fn run_to_completion(&mut self) -> Result<(), TrapKind> {
+    /// Runs slices until every thread is done. Thread state is examined
+    /// only here, at reschedule points — never per dispatch: a slice only
+    /// ends when its thread asked for a switch, finished or blocked.
+    fn run_to_completion(&mut self) -> Result<(), Trap> {
         loop {
-            match self.threads[self.current].state {
-                ThreadState::Runnable => match self.step()? {
-                    Step::Ran => {}
-                    Step::SwitchRequested => {
-                        if !self.reschedule(true) {
-                            // No other runnable thread; stay on the current
-                            // one if it can still run.
-                            match self.threads[self.current].state {
-                                ThreadState::Runnable => {}
-                                ThreadState::Done => {
-                                    if self.all_done() {
-                                        return Ok(());
-                                    }
-                                    return Err(TrapKind::Deadlock);
-                                }
-                                ThreadState::Blocked(_) => return Err(TrapKind::Deadlock),
-                            }
-                        }
-                    }
-                },
-                ThreadState::Done | ThreadState::Blocked(_) => {
-                    if self.all_done() {
-                        return Ok(());
-                    }
-                    if !self.reschedule(false) {
-                        return Err(TrapKind::Deadlock);
+            self.run_slice()?;
+            if !self.reschedule(true) {
+                // No other runnable thread; stay on the current one if it
+                // can still run.
+                match self.threads[self.current].state {
+                    ThreadState::Runnable => {}
+                    ThreadState::Done if self.all_done() => return Ok(()),
+                    ThreadState::Done | ThreadState::Blocked(_) => {
+                        return Err(TrapKind::Deadlock.into())
                     }
                 }
             }
@@ -529,7 +537,8 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
     fn fold_profile(&mut self, trap: Option<&TrapKind>) {
         // A deadlock is declared between dispatches; every other trap
         // unwinds from a partially-executed op the current frame still
-        // points at (the call arms re-point `ip` on a failed frame push).
+        // points at (a slice exits a trap with `ip` on the attempted op,
+        // a failed frame push included).
         let mid_op = matches!(trap, Some(k) if !matches!(k, TrapKind::Deadlock));
         for (ti, t) in self.threads.iter().enumerate() {
             for (fi, fr) in t.frames.iter().enumerate() {
@@ -726,28 +735,44 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         }
     }
 
-    /// Charges a (possibly fused) op: `width` source instructions and `c`
-    /// cycles. A fused group has no observation point between its
-    /// components — `Check` and `Yield` never fuse — so counting the whole
-    /// group here is indistinguishable from per-op counting.
-    #[inline]
-    fn charge(&mut self, c: u64, width: u32) -> Result<(), TrapKind> {
-        self.instructions += u64::from(width);
-        self.charge_cycles(c)
+    /// The first clock value at which [`Machine::charge_cycles`] has work
+    /// beyond the addition: the next timer-trigger tick, the next
+    /// threadswitch-bit set, or the first cycle past the fuel budget or
+    /// the cancellation point.
+    fn event_horizon(&self) -> u64 {
+        let past = |limit: Option<u64>| limit.map_or(u64::MAX, |l| l.saturating_add(1));
+        self.next_switch
+            .min(self.trigger.next_tick())
+            .min(past(self.max_cycles))
+            .min(past(self.cancel_after))
     }
 
-    /// The cycle half of [`Machine::charge`]: clock advance, timer tick,
-    /// threadswitch catch-up, fuel check. Also called mid-arm by
-    /// `BrCmp`/`BrCmpImm` to charge the branch after the compare executed,
-    /// reproducing the unfused charge/execute interleaving exactly.
-    #[inline]
-    fn charge_cycles(&mut self, c: u64) -> Result<(), TrapKind> {
+    /// Advances the clock by `c` cycles, then — only once the clock
+    /// reaches [`Machine::next_event`] — runs the timer tick, the
+    /// threadswitch catch-up and the fuel and cancellation checks. Called once per dispatch with the op's
+    /// up-front cost, and mid-arm by the fused superinstructions whose
+    /// later components charge after the earlier ones executed,
+    /// reproducing the unfused charge/execute interleaving exactly. A
+    /// fused group has no observation point between its components —
+    /// `Check` and `Yield` never fuse — so counting the group's
+    /// instructions once per dispatch is indistinguishable from per-op
+    /// counting.
+    #[inline(always)]
+    fn charge_cycles(&mut self, c: u64) -> Result<(), Trap> {
         self.cycles += c;
-        if self.timer_active {
-            // `on_tick` is a no-op for every non-timer trigger; skipping
-            // the call keeps the branch out of the untimed hot path.
-            self.trigger.on_tick(self.cycles);
+        if self.cycles >= self.next_event {
+            return self.clock_event();
         }
+        Ok(())
+    }
+
+    /// The rare half of [`Machine::charge_cycles`].
+    #[cold]
+    #[inline(never)]
+    fn clock_event(&mut self) -> Result<(), Trap> {
+        // `on_tick` acts only once the clock reaches `next_tick`, which the
+        // horizon includes, so ticking here alone loses no timer firing.
+        self.trigger.on_tick(self.cycles);
         if self.cycles >= self.next_switch {
             self.switch_bit = true;
             // Catch up in one division rather than one loop iteration per
@@ -759,7 +784,7 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         }
         if let Some(max) = self.max_cycles {
             if self.cycles > max {
-                return Err(TrapKind::FuelExhausted(max));
+                return Err(TrapKind::FuelExhausted(max).into());
             }
         }
         // The deterministic cancellation hook shares the fuel predicate
@@ -767,41 +792,11 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         // K stops at exactly the dispatch a `max_cycles = K` trap would.
         if let Some(k) = self.cancel_after {
             if self.cycles > k {
-                return Err(TrapKind::Cancelled);
+                return Err(TrapKind::Cancelled.into());
             }
         }
+        self.next_event = self.event_horizon();
         Ok(())
-    }
-
-    #[inline]
-    fn frame(&self) -> &Frame<'p> {
-        self.threads[self.current]
-            .frames
-            .last()
-            .expect("runnable thread has a frame")
-    }
-
-    #[inline]
-    fn frame_mut(&mut self) -> &mut Frame<'p> {
-        self.threads[self.current]
-            .frames
-            .last_mut()
-            .expect("runnable thread has a frame")
-    }
-
-    #[inline]
-    fn get(&self, l: LocalId) -> Value {
-        self.frame().locals[l.index()]
-    }
-
-    #[inline]
-    fn set(&mut self, l: LocalId, v: Value) {
-        self.frame_mut().locals[l.index()] = v;
-    }
-
-    #[inline]
-    fn advance(&mut self) {
-        self.frame_mut().ip += 1;
     }
 
     /// Records a burst boundary at a firing check. Only reachable from
@@ -821,912 +816,733 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         self.last_sample_cycles = self.cycles;
     }
 
-    /// Transfers control to a pre-resolved arena index, bumping the
-    /// Property 1 accounting when the edge was classified as a backedge at
-    /// prepare time.
+    /// Runs the current thread until a reschedule point: a `Yield` that
+    /// finds the threadswitch bit set, a blocking `Join`, the return from
+    /// the thread's bottom frame, or a trap.
     ///
-    /// # Errors
-    ///
-    /// Returns [`TrapKind::Cancelled`] when an armed token fired; see
-    /// [`Machine::enter`].
-    #[inline]
-    fn goto(&mut self, target: u32, backedge: bool) -> Result<(), TrapKind> {
-        if backedge {
-            self.backedges_executed += 1;
-        }
-        self.enter(target)
-    }
-
-    /// Lands the current frame at `target`, counting the flow entry when
-    /// the profile sink is enabled (when it isn't, this is just the `ip`
-    /// store). Every control-transfer arm funnels through here or
-    /// [`Machine::goto`]; straight-line advancement does not, which is
-    /// what keeps profiling off the per-dispatch path.
-    ///
-    /// # Errors
-    ///
-    /// This funnel is also the cancellation poll: block entry is the one
-    /// point every divergent program must pass infinitely often (straight
-    /// -line flow is finite and recursion is bounded by `max_stack`), so
-    /// polling here — and nowhere else — guarantees a cancelled run traps
-    /// at its next control transfer. The poll comes first: a cancelled
-    /// transfer records no flow entry and leaves `ip` on the fully
-    /// executed, fully charged transfer op, which is exactly the state
-    /// [`Machine::fold_profile`]'s attempted-frame cut accounts for.
-    #[inline]
-    fn enter(&mut self, target: u32) -> Result<(), TrapKind> {
-        if let Some(t) = &self.cancel {
-            if t.fired() {
-                return Err(TrapKind::Cancelled);
-            }
-        }
-        if P::ENABLED {
-            let base = self.frame().base;
-            if let Some(d) = self.entry_deltas.get_mut(base as usize + target as usize) {
-                *d += 1;
-            }
-        }
-        self.frame_mut().ip = target as usize;
-        Ok(())
-    }
-
-    fn push_frame(
-        &mut self,
-        callee: FuncId,
-        args: &[Value],
-        ret_dst: Option<LocalId>,
-        caller: Option<(FuncId, CallSiteId)>,
-        thread: usize,
-    ) -> Result<(), TrapKind> {
-        if self.threads[thread].frames.len() >= self.max_stack {
-            return Err(TrapKind::StackOverflow(self.max_stack));
-        }
-        let prepared: &'p PreparedModule = self.prepared;
-        let f = prepared.func(callee);
-        debug_assert_eq!(f.arity, args.len());
-        if P::ENABLED {
-            // The new frame enters the callee's arena at slot 0.
-            if let Some(d) = self.entry_deltas.get_mut(f.slot_base as usize) {
-                *d += 1;
-            }
-        }
-        let mut locals = vec![Value::Unit; f.num_locals];
-        locals[..args.len()].copy_from_slice(args);
-        self.threads[thread].frames.push(Frame {
-            func: callee,
-            ops: &f.ops,
-            base: f.slot_base,
-            ip: 0,
-            locals,
-            ret_dst,
-            caller,
-            path_reg: None,
-        });
-        self.entries_executed += 1;
-        Ok(())
-    }
-
-    fn step(&mut self) -> Result<Step, TrapKind> {
+    /// The running frame's state lives in local variables — `func`,
+    /// `ops`, `ip`, the slot `base`, the frame pointer `fp` and the
+    /// `locals` window into the thread's value stack — and the thread's
+    /// frame and value stacks are detached from `threads` for the slice,
+    /// so every dispatch is `ops[ip]` plus a `match`, with no thread or
+    /// frame lookup. The registers are written back to the frame record
+    /// only at the write-back points (DESIGN.md decision 17): a call
+    /// stores the caller's resume `ip` before pushing the callee, and
+    /// every exit from the slice — switch request or trap — stores the
+    /// top frame's `ip`. A trap exits with `ip` still on the attempted op
+    /// (arms advance `ip` only after their last fallible step), which is
+    /// the state [`Machine::fold_profile`]'s attempted-frame cut and
+    /// [`Machine::current_function_name`] read.
+    fn run_slice(&mut self) -> Result<(), Trap> {
         let cur = self.current;
-        let frame = self.threads[cur]
-            .frames
-            .last()
-            .expect("runnable thread has a frame");
-        let func_id = frame.func;
-        // The op borrow comes through the frame's cached `&'p [Op]` slice,
-        // leaving `self` free for mutation during execution.
-        let ops = frame.ops;
-        let op = &ops[frame.ip];
-        let w = op.width as usize;
-        self.charge(op.cost, op.width)?;
-        // Hot arms take one `last_mut` borrow of the current frame, index
-        // locals directly and advance `ip` inline; the heap, the dispatch
-        // tables and the counters live in disjoint fields of `self`, so
-        // they stay reachable while the frame borrow is live.
-        match &op.kind {
-            OpKind::Const { dst, value } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] = *value;
-                f.ip += 1;
-            }
-            OpKind::Move { dst, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] = f.locals[src.index()];
-                f.ip += 1;
-            }
-            OpKind::Un { op, dst, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
-                f.ip += 1;
-            }
-            OpKind::Bin { op, dst, lhs, rhs } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] =
-                    Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.ip += 1;
-            }
-            OpKind::New {
-                dst,
-                class,
-                num_fields,
-            } => {
-                let v = self.heap.alloc_object(*class, *num_fields)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] = v;
-                f.ip += 1;
-            }
-            OpKind::GetField { dst, obj, field } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let object = self.heap.object(f.locals[obj.index()])?;
-                let offset = self
-                    .prepared
-                    .field_offset(object.class, *field)
-                    .ok_or_else(|| {
-                        TrapKind::NoSuchField(self.prepared.module().field_name(*field).to_owned())
-                    })?;
-                f.locals[dst.index()] = object.fields[offset as usize];
-                f.ip += 1;
-            }
-            OpKind::SetField { obj, field, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                let v = f.locals[src.index()];
-                let class = self.heap.object(o)?.class;
-                let offset = self.prepared.field_offset(class, *field).ok_or_else(|| {
-                    TrapKind::NoSuchField(self.prepared.module().field_name(*field).to_owned())
-                })?;
-                self.heap.object_mut(o)?.fields[offset as usize] = v;
-                f.ip += 1;
-            }
-            OpKind::GetFieldStatic { dst, obj, offset } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let object = self.heap.object(f.locals[obj.index()])?;
-                f.locals[dst.index()] = object.fields[*offset as usize];
-                f.ip += 1;
-            }
-            OpKind::SetFieldStatic { obj, offset, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                let v = f.locals[src.index()];
-                self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                f.ip += 1;
-            }
-            OpKind::NewArray { dst, len } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let n = f.locals[len.index()].as_i64()?;
-                f.locals[dst.index()] = self.heap.alloc_array(n)?;
-                f.ip += 1;
-            }
-            OpKind::ArrayGet { dst, arr, idx } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let i = f.locals[idx.index()].as_i64()?;
-                let v = self.heap.array_get(f.locals[arr.index()], i)?;
-                f.locals[dst.index()] = Value::I64(v);
-                f.ip += 1;
-            }
-            OpKind::ArraySet { arr, idx, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let a = f.locals[arr.index()];
-                let i = f.locals[idx.index()].as_i64()?;
-                let v = f.locals[src.index()].as_i64()?;
-                self.heap.array_set(a, i, v)?;
-                f.ip += 1;
-            }
-            OpKind::ArrayLen { dst, arr } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let n = self.heap.array_len(f.locals[arr.index()])?;
-                f.locals[dst.index()] = Value::I64(n);
-                f.ip += 1;
-            }
-            OpKind::Call {
-                dst,
-                callee,
-                args,
-                site,
-            } => {
-                let mut vals = std::mem::take(&mut self.arg_scratch);
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                f.ip += 1;
-                let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                vals.clear();
-                self.arg_scratch = vals;
-                if r.is_err() {
-                    // The call never entered: point `ip` back at the call
-                    // op so the trap is attributed to the op attempted.
-                    self.frame_mut().ip -= 1;
-                }
-                r?;
-            }
-            OpKind::CallMethod {
-                dst,
-                obj,
-                method,
-                args,
-                site,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                let class = self.heap.object(o)?.class;
-                let callee = self.prepared.method_impl(class, *method).ok_or_else(|| {
-                    TrapKind::NoSuchMethod(self.prepared.module().method_name(*method).to_owned())
-                })?;
-                let expected = self.prepared.func(callee).arity;
-                if expected != args.len() + 1 {
-                    return Err(TrapKind::ArityMismatch {
-                        method: self.prepared.module().function(callee).name().to_owned(),
-                        given: args.len() + 1,
-                        expected,
-                    });
-                }
-                let mut vals = std::mem::take(&mut self.arg_scratch);
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                vals.push(o);
-                vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                f.ip += 1;
-                let r = self.push_frame(callee, &vals, *dst, Some((func_id, *site)), cur);
-                vals.clear();
-                self.arg_scratch = vals;
-                if r.is_err() {
-                    // See `OpKind::Call`: re-point `ip` at the attempted
-                    // call.
-                    self.frame_mut().ip -= 1;
-                }
-                r?;
-            }
-            OpKind::CallMethodStatic {
-                dst,
-                obj,
-                callee,
-                args,
-                site,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                // The method target and arity were verified at prepare
-                // time; the receiver must still be a live object so null
-                // and type traps match the dynamic path.
-                self.heap.object(o)?;
-                let mut vals = std::mem::take(&mut self.arg_scratch);
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                vals.push(o);
-                vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                f.ip += 1;
-                let r = self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                vals.clear();
-                self.arg_scratch = vals;
-                if r.is_err() {
-                    // See `OpKind::Call`: re-point `ip` at the attempted
-                    // call.
-                    self.frame_mut().ip -= 1;
-                }
-                r?;
-            }
-            OpKind::Print { src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let n = match f.locals[src.index()] {
-                    Value::I64(n) => n,
-                    Value::Bool(b) => i64::from(b),
-                    other => {
-                        return Err(TrapKind::TypeError {
-                            expected: "printable value",
-                            found: other.kind_name(),
-                        })
+        let prepared: &'p PreparedModule = self.prepared;
+        let mut frames = std::mem::take(&mut self.threads[cur].frames);
+        let mut stack = std::mem::take(&mut self.threads[cur].stack);
+        let top = frames.last().expect("runnable thread has a frame");
+        let mut func = top.func;
+        let mut ops = top.ops;
+        let mut base = top.base as usize;
+        let mut ip = top.ip;
+        let mut fp = top.fp;
+        let mut locals: &mut [Value] = &mut stack[fp..];
+        let result: Result<(), Trap> = 'run: loop {
+            /// `?` for the slice: leaves the loop with the trap, `ip` on
+            /// the attempted op.
+            macro_rules! tri {
+                ($e:expr) => {
+                    match $e {
+                        Ok(v) => v,
+                        Err(e) => break 'run Err(Trap::from(e)),
                     }
                 };
-                self.output.push(n);
-                f.ip += 1;
             }
-            OpKind::Spawn { dst, callee, args } => {
-                let mut vals = std::mem::take(&mut self.arg_scratch);
-                {
-                    let f = self.threads[cur].frames.last().expect("frame");
-                    vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                }
-                let tid = self.threads.len();
-                self.threads.push(Thread {
-                    frames: Vec::new(),
-                    state: ThreadState::Runnable,
-                });
-                let r = self.push_frame(*callee, &vals, None, None, tid);
-                vals.clear();
-                self.arg_scratch = vals;
-                r?;
-                self.set(*dst, Value::Thread(tid as u32));
-                self.advance();
-            }
-            OpKind::Join { thread } => {
-                let t = match self.get(*thread) {
-                    Value::Thread(t) => t as usize,
-                    other => {
-                        return Err(TrapKind::TypeError {
-                            expected: "thread handle",
-                            found: other.kind_name(),
-                        })
+            /// Lands the running frame at arena index `$target`, counting
+            /// the flow entry when the profile sink is enabled. Every
+            /// control-transfer arm funnels through here; straight-line
+            /// advancement does not, which is what keeps profiling off
+            /// the per-dispatch path.
+            ///
+            /// This is also the cancellation poll: block entry is the one
+            /// point every divergent program must pass infinitely often
+            /// (straight-line flow is finite and recursion is bounded by
+            /// `max_stack`), so polling here — and nowhere else —
+            /// guarantees a cancelled run traps at its next control
+            /// transfer. The poll comes first: a cancelled transfer
+            /// records no flow entry and leaves `ip` on the fully
+            /// executed, fully charged transfer op, which is exactly the
+            /// state `fold_profile`'s attempted-frame cut accounts for.
+            macro_rules! enter {
+                ($target:expr) => {{
+                    let target = $target as usize;
+                    if let Some(t) = &self.cancel {
+                        if t.fired() {
+                            break 'run Err(TrapKind::Cancelled.into());
+                        }
                     }
-                };
-                if self.threads[t].state != ThreadState::Done {
-                    self.threads[cur].state = ThreadState::Blocked(t);
                     if P::ENABLED {
-                        // The join re-dispatches when unblocked: count the
-                        // extra dispatch now, confined to this slot (`-1`
-                        // right after keeps the rest of the block at one
-                        // execution per entry). If the wake never comes,
-                        // the end-of-run cut at this frame's `ip` cancels
-                        // the prediction.
-                        let fr = self.threads[cur].frames.last().expect("frame");
-                        let slot = fr.base as usize + fr.ip;
-                        if let Some(d) = self.entry_deltas.get_mut(slot) {
+                        if let Some(d) = self.entry_deltas.get_mut(base + target) {
                             *d += 1;
                         }
-                        if let Some(d) = self.entry_deltas.get_mut(slot + 1) {
-                            *d -= 1;
-                        }
                     }
-                    // Do not advance: the join re-executes when unblocked.
-                    return Ok(Step::SwitchRequested);
-                }
-                self.advance();
+                    ip = target;
+                }};
             }
-            OpKind::Yield => {
-                self.yields_executed += 1;
-                self.advance();
-                if self.switch_bit {
-                    self.switch_bit = false;
-                    return Ok(Step::SwitchRequested);
-                }
-            }
-            OpKind::Busy => {
-                // The cost was already charged; nothing else happens.
-                self.advance();
-            }
-            OpKind::CallEdge => {
-                // Examine the call stack (paper §4.2): the caller and the
-                // call site were stashed in the frame at call time.
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                if let Some((caller, site)) = f.caller {
-                    self.profile.record_call_edge(caller, site, func_id);
-                }
-                f.ip += 1;
-            }
-            OpKind::FieldAccessProf { obj, field, write } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let class = self.heap.object(f.locals[obj.index()])?.class;
-                self.profile.record_field_access(class, *field, *write);
-                f.ip += 1;
-            }
-            OpKind::BlockCount { block } => {
-                self.profile.record_block(func_id, *block);
-                self.advance();
-            }
-            OpKind::EdgeCount { from, to } => {
-                self.profile.record_edge(func_id, *from, *to);
-                self.advance();
-            }
-            OpKind::PathStart { value } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.path_reg = Some(*value);
-                f.ip += 1;
-            }
-            OpKind::PathIncr { delta } => {
-                // `delta` may be the pre-folded sum of a fused run; the
-                // width then advances past the whole run's slots.
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                if let Some(r) = f.path_reg.as_mut() {
-                    *r += *delta;
-                }
-                f.ip += w;
-            }
-            OpKind::PathEnd { site } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                if let Some(id) = f.path_reg.take() {
-                    self.profile.record_path(func_id, *site, id);
-                }
-                f.ip += 1;
-            }
-            OpKind::ValueProfile { local, site } => {
-                let v = match self.get(*local) {
-                    Value::I64(n) => n,
-                    Value::Bool(b) => i64::from(b),
-                    // Reference values are profiled by identity.
-                    Value::Obj(h) | Value::Arr(h) | Value::Thread(h) => i64::from(h),
-                    Value::Null => -1,
-                    Value::Unit => 0,
-                };
-                self.profile.record_value(func_id, *site, v);
-                self.advance();
-            }
-            // Fused superinstructions: each arm replays its group's
-            // original effects in order under one dispatch. The group cost
-            // was charged up front (sound because only the final effectful
-            // component can trap); `BrCmp`/`BrCmpImm` charge the branch
-            // half mid-arm to keep fuel traps on the unfused schedule.
-            OpKind::BinImm {
-                op,
-                dst,
-                lhs,
-                rhs,
-                tmp,
-                imm,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = *imm;
-                f.locals[dst.index()] =
-                    Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.ip += w;
-            }
-            OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = Value::I64(*idx);
-                let v = self.heap.array_get(f.locals[arr.index()], *idx)?;
-                f.locals[dst.index()] = Value::I64(v);
-                f.ip += w;
-            }
-            OpKind::ArraySetImm { arr, tmp, idx, src } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = Value::I64(*idx);
-                let a = f.locals[arr.index()];
-                let v = f.locals[src.index()].as_i64()?;
-                self.heap.array_set(a, *idx, v)?;
-                f.ip += w;
-            }
-            OpKind::ArraySetImm2 {
-                arr,
-                tmp,
-                idx,
-                src_tmp,
-                src,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = Value::I64(*idx);
-                f.locals[src_tmp.index()] = *src;
-                let a = f.locals[arr.index()];
-                let v = src.as_i64()?;
-                self.heap.array_set(a, *idx, v)?;
-                f.ip += w;
-            }
-            OpKind::GetFieldBin {
-                obj,
-                offset,
-                tmp,
-                op,
-                dst,
-                lhs,
-                rhs,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[dst.index()] =
-                    Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.ip += w;
-            }
-            OpKind::BinSetField {
-                op,
-                dst,
-                lhs,
-                rhs,
-                obj,
-                offset,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                f.ip += w;
-            }
-            OpKind::BinImmSetField {
-                op,
-                dst,
-                lhs,
-                rhs,
-                tmp,
-                imm,
-                obj,
-                offset,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = *imm;
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[obj.index()];
-                self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                f.ip += w;
-            }
-            OpKind::GetFieldBinImm {
-                obj,
-                offset,
-                tmp,
-                ctmp,
-                imm,
-                op,
-                dst,
-                lhs,
-                rhs,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[ctmp.index()] = *imm;
-                f.locals[dst.index()] =
-                    Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.ip += w;
-            }
-            OpKind::GetFieldBinImmSetField {
-                obj,
-                offset,
-                tmp,
-                ctmp,
-                imm,
-                op,
-                dst,
-                lhs,
-                rhs,
-                sobj,
-                soffset,
-                extra,
-                extra2,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[ctmp.index()] = *imm;
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*extra2)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let o = f.locals[sobj.index()];
-                self.heap.object_mut(o)?.fields[*soffset as usize] = v;
-                f.ip += w;
-            }
-            OpKind::ConstSetField {
-                tmp,
-                imm,
-                obj,
-                offset,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = *imm;
-                let o = f.locals[obj.index()];
-                self.heap.object_mut(o)?.fields[*offset as usize] = *imm;
-                f.ip += w;
-            }
-            OpKind::GetFieldBrCmp {
-                obj,
-                offset,
-                tmp,
-                op,
-                dst,
-                lhs,
-                rhs,
-                extra,
-                branch,
-                t,
-                f: f_target,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*branch)?;
-                // A successful comparison always yields a bool, so this is
-                // the `as_bool` of the unfused branch, trap-free.
-                let taken = v == Value::Bool(true);
-                self.enter(if taken { *t } else { *f_target })?;
-            }
-            OpKind::GetFieldArrayGet {
-                obj,
-                offset,
-                tmp,
-                dst,
-                arr,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let i = f.locals[tmp.index()].as_i64()?;
-                let v = self.heap.array_get(f.locals[arr.index()], i)?;
-                f.locals[dst.index()] = Value::I64(v);
-                f.ip += w;
-            }
-            OpKind::GetFieldArraySet {
-                obj,
-                offset,
-                tmp,
-                arr,
-                src,
-                extra,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = self.heap.object(f.locals[obj.index()])?.fields[*offset as usize];
-                f.locals[tmp.index()] = v;
-                self.charge_cycles(*extra)?;
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let a = f.locals[arr.index()];
-                let i = f.locals[tmp.index()].as_i64()?;
-                let v = f.locals[src.index()].as_i64()?;
-                self.heap.array_set(a, i, v)?;
-                f.ip += w;
-            }
-            OpKind::MoveRun { moves } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                for (dst, src) in moves.iter() {
-                    f.locals[dst.index()] = f.locals[src.index()];
-                }
-                f.ip += w;
-            }
-            OpKind::BrCmp {
-                op,
-                dst,
-                lhs,
-                rhs,
-                extra,
-                t,
-                f: f_target,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*extra)?;
-                // A successful comparison always yields a bool, so this is
-                // the `as_bool` of the unfused branch, trap-free.
-                let taken = v == Value::Bool(true);
-                self.enter(if taken { *t } else { *f_target })?;
-            }
-            OpKind::BrCmpImm {
-                op,
-                dst,
-                lhs,
-                rhs,
-                tmp,
-                imm,
-                extra,
-                t,
-                f: f_target,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.locals[tmp.index()] = *imm;
-                let v = Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                f.locals[dst.index()] = v;
-                self.charge_cycles(*extra)?;
-                let taken = v == Value::Bool(true);
-                self.enter(if taken { *t } else { *f_target })?;
-            }
-            OpKind::JumpInstr { target, effects } => {
-                let caller = self.frame().caller;
-                self.enter(*target)?;
-                for e in effects.iter() {
-                    match e {
-                        InstrEffect::CallEdge => {
-                            if let Some((caller, site)) = caller {
-                                self.profile.record_call_edge(caller, site, func_id);
-                            }
-                        }
-                        InstrEffect::BlockCount(b) => self.profile.record_block(func_id, *b),
-                        InstrEffect::EdgeCount(from, to) => {
-                            self.profile.record_edge(func_id, *from, *to);
-                        }
+            /// [`enter!`] plus the Property 1 backedge accounting for an
+            /// edge classified as a backedge at prepare time.
+            macro_rules! goto {
+                ($target:expr, $backedge:expr) => {{
+                    if $backedge {
+                        self.backedges_executed += 1;
                     }
-                }
+                    enter!($target);
+                }};
             }
-            OpKind::Guided { steps, .. } => {
-                // The generalized profile-guided group: charge and execute
-                // per component (the main-loop charge covered `steps[0]`),
-                // so budget traps, timer ticks and threadswitch catch-ups
-                // land at exactly the unfused positions for any component
-                // mix. Only the final step may be a call; it advances `ip`
-                // past the whole group before pushing the callee frame
-                // (and re-points it on a failed push), exactly as the
-                // plain call arms do.
-                for (k, (cost, step)) in steps.iter().enumerate() {
-                    if k > 0 {
-                        self.charge_cycles(*cost)?;
+            /// Pushes a frame for `$callee` (receiver first, then the
+            /// argument locals, copied straight from the caller's window
+            /// into the callee's on the same value stack) and switches
+            /// the registers to it. The caller's resume index `$resume`
+            /// is written back first; on a stack overflow the trap exit
+            /// overwrites it with the attempted call's `ip`.
+            macro_rules! call {
+                ($callee:expr, $recv:expr, $args:expr, $dst:expr, $site:expr, $resume:expr) => {{
+                    let callee: FuncId = $callee;
+                    let recv: Option<Value> = $recv;
+                    if frames.len() >= self.max_stack {
+                        break 'run Err(TrapKind::StackOverflow(self.max_stack).into());
                     }
-                    match step {
-                        OpKind::Const { dst, value } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            f.locals[dst.index()] = *value;
-                        }
-                        OpKind::Move { dst, src } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            f.locals[dst.index()] = f.locals[src.index()];
-                        }
-                        OpKind::Un { op, dst, src } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            f.locals[dst.index()] = Value::unary(*op, f.locals[src.index()])?;
-                        }
-                        OpKind::Bin { op, dst, lhs, rhs } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            f.locals[dst.index()] =
-                                Value::binary(*op, f.locals[lhs.index()], f.locals[rhs.index()])?;
-                        }
-                        OpKind::GetFieldStatic { dst, obj, offset } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let object = self.heap.object(f.locals[obj.index()])?;
-                            f.locals[dst.index()] = object.fields[*offset as usize];
-                        }
-                        OpKind::SetFieldStatic { obj, offset, src } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let o = f.locals[obj.index()];
-                            let v = f.locals[src.index()];
-                            self.heap.object_mut(o)?.fields[*offset as usize] = v;
-                        }
-                        OpKind::ArrayGet { dst, arr, idx } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let i = f.locals[idx.index()].as_i64()?;
-                            let v = self.heap.array_get(f.locals[arr.index()], i)?;
-                            f.locals[dst.index()] = Value::I64(v);
-                        }
-                        OpKind::ArraySet { arr, idx, src } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let a = f.locals[arr.index()];
-                            let i = f.locals[idx.index()].as_i64()?;
-                            let v = f.locals[src.index()].as_i64()?;
-                            self.heap.array_set(a, i, v)?;
-                        }
-                        OpKind::ArrayLen { dst, arr } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let n = self.heap.array_len(f.locals[arr.index()])?;
-                            f.locals[dst.index()] = Value::I64(n);
-                        }
-                        OpKind::Call {
-                            dst,
-                            callee,
-                            args,
-                            site,
-                        } => {
-                            let mut vals = std::mem::take(&mut self.arg_scratch);
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                            f.ip += w;
-                            let r =
-                                self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                            vals.clear();
-                            self.arg_scratch = vals;
-                            if r.is_err() {
-                                // See `OpKind::Call`: re-point `ip` at the
-                                // group whose call was attempted.
-                                self.frame_mut().ip -= w;
-                            }
-                            r?;
-                            return Ok(Step::Ran);
-                        }
-                        OpKind::CallMethodStatic {
-                            dst,
-                            obj,
-                            callee,
-                            args,
-                            site,
-                        } => {
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            let o = f.locals[obj.index()];
-                            // Target and arity verified at prepare time;
-                            // the receiver still null/type-checks.
-                            self.heap.object(o)?;
-                            let mut vals = std::mem::take(&mut self.arg_scratch);
-                            let f = self.threads[cur].frames.last_mut().expect("frame");
-                            vals.push(o);
-                            vals.extend(args.iter().map(|a| f.locals[a.index()]));
-                            f.ip += w;
-                            let r =
-                                self.push_frame(*callee, &vals, *dst, Some((func_id, *site)), cur);
-                            vals.clear();
-                            self.arg_scratch = vals;
-                            if r.is_err() {
-                                self.frame_mut().ip -= w;
-                            }
-                            r?;
-                            return Ok(Step::Ran);
-                        }
-                        other => {
-                            unreachable!("non-guided-eligible component {other:?} in guided group")
-                        }
+                    let pf: &'p PreparedFunction = prepared.func(callee);
+                    debug_assert_eq!(pf.arity, $args.len() + usize::from(recv.is_some()));
+                    if let Some(top) = frames.last_mut() {
+                        top.ip = $resume;
                     }
-                }
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                f.ip += w;
-            }
-            OpKind::Gap => unreachable!("fusion gap slots are never executed"),
-            // Terminators (inlined into the arena as the block's last op).
-            OpKind::Jump { target, backedge } => {
-                if *backedge {
-                    self.backedges_executed += 1;
-                }
-                self.enter(*target)?;
-            }
-            OpKind::Br {
-                cond,
-                t,
-                f: f_target,
-                t_backedge,
-                f_backedge,
-            } => {
-                let f = self.threads[cur].frames.last_mut().expect("frame");
-                let c = f.locals[cond.index()].as_bool()?;
-                let (target, backedge) = if c {
-                    (*t, *t_backedge)
-                } else {
-                    (*f_target, *f_backedge)
-                };
-                if backedge {
-                    self.backedges_executed += 1;
-                }
-                self.enter(target)?;
-            }
-            OpKind::Ret { val } => {
-                let value = val.map(|l| self.get(l)).unwrap_or(Value::Unit);
-                let frame = self.threads[cur]
-                    .frames
-                    .pop()
-                    .expect("ret pops the current frame");
-                if self.threads[cur].frames.is_empty() {
-                    self.threads[cur].state = ThreadState::Done;
-                    return Ok(Step::SwitchRequested);
-                }
-                if let Some(dst) = frame.ret_dst {
-                    self.set(dst, value);
-                }
-            }
-            OpKind::Check {
-                sample,
-                cont,
-                sample_backedge,
-                cont_backedge,
-            } => {
-                self.checks_executed += 1;
-                if self.trigger.on_check(cur) {
-                    self.samples_taken += 1;
-                    if S::ENABLED {
-                        let ip = self.threads[cur].frames.last().expect("frame").ip;
-                        self.record_sample(
-                            cur,
-                            func_id,
-                            ip as u32,
-                            *sample_backedge || *cont_backedge,
-                        );
+                    let new_fp = stack.len();
+                    stack.resize(new_fp + pf.num_locals, Value::Unit);
+                    let mut k = new_fp;
+                    if let Some(r) = recv {
+                        stack[k] = r;
+                        k += 1;
+                    }
+                    for a in $args.iter() {
+                        stack[k] = stack[fp + a.index()];
+                        k += 1;
                     }
                     if P::ENABLED {
-                        self.psink.record_sample(self.cycles, self.checks_executed);
-                        // The surcharge below is the one data-dependent
-                        // cycle charge; count the firing so `fold_profile`
-                        // can attribute it to this check.
-                        let f = self.threads[cur].frames.last().expect("frame");
-                        let slot = f.base as usize + f.ip;
-                        if let Some(n) = self.fire_counts.get_mut(slot) {
-                            *n += 1;
+                        // The new frame enters the callee's arena at slot 0.
+                        if let Some(d) = self.entry_deltas.get_mut(pf.slot_base as usize) {
+                            *d += 1;
                         }
                     }
-                    // Jumping into cold duplicated code costs extra
-                    // (instruction-cache effects, §4.4 footnote 6).
-                    self.cycles += self.sample_switch;
-                    self.goto(*sample, *sample_backedge)?;
-                } else {
-                    self.goto(*cont, *cont_backedge)?;
+                    frames.push(Frame {
+                        func: callee,
+                        ops: &pf.ops,
+                        base: pf.slot_base,
+                        ip: 0,
+                        fp: new_fp,
+                        ret_dst: $dst,
+                        caller: Some((func, $site)),
+                        path_reg: None,
+                    });
+                    self.entries_executed += 1;
+                    func = callee;
+                    ops = &pf.ops;
+                    base = pf.slot_base as usize;
+                    ip = 0;
+                    fp = new_fp;
+                    locals = &mut stack[fp..];
+                }};
+            }
+
+            let op = &ops[ip];
+            let w = op.width as usize;
+            self.instructions += u64::from(op.width);
+            tri!(self.charge_cycles(op.cost));
+            match &op.kind {
+                OpKind::Const { dst, value } => {
+                    locals[dst.index()] = *value;
+                    ip += 1;
+                }
+                OpKind::Move { dst, src } => {
+                    locals[dst.index()] = locals[src.index()];
+                    ip += 1;
+                }
+                OpKind::Un { op, dst, src } => {
+                    locals[dst.index()] = tri!(Value::unary(*op, locals[src.index()]));
+                    ip += 1;
+                }
+                OpKind::Bin { op, dst, lhs, rhs } => {
+                    locals[dst.index()] =
+                        tri!(Value::binary(*op, locals[lhs.index()], locals[rhs.index()]));
+                    ip += 1;
+                }
+                OpKind::New {
+                    dst,
+                    class,
+                    num_fields,
+                } => {
+                    locals[dst.index()] = tri!(self.heap.alloc_object(*class, *num_fields));
+                    ip += 1;
+                }
+                OpKind::GetField { dst, obj, field } => {
+                    let object = tri!(self.heap.object(locals[obj.index()]));
+                    let Some(offset) = prepared.field_offset(object.class, *field) else {
+                        let name = prepared.module().field_name(*field).to_owned();
+                        break 'run Err(TrapKind::NoSuchField(name).into());
+                    };
+                    locals[dst.index()] = object.fields[offset as usize];
+                    ip += 1;
+                }
+                OpKind::SetField { obj, field, src } => {
+                    let o = locals[obj.index()];
+                    let class = tri!(self.heap.object(o)).class;
+                    let Some(offset) = prepared.field_offset(class, *field) else {
+                        let name = prepared.module().field_name(*field).to_owned();
+                        break 'run Err(TrapKind::NoSuchField(name).into());
+                    };
+                    tri!(self.heap.object_mut(o)).fields[offset as usize] = locals[src.index()];
+                    ip += 1;
+                }
+                OpKind::GetFieldStatic { dst, obj, offset } => {
+                    let object = tri!(self.heap.object(locals[obj.index()]));
+                    locals[dst.index()] = object.fields[*offset as usize];
+                    ip += 1;
+                }
+                OpKind::SetFieldStatic { obj, offset, src } => {
+                    let v = locals[src.index()];
+                    tri!(self.heap.object_mut(locals[obj.index()])).fields[*offset as usize] = v;
+                    ip += 1;
+                }
+                OpKind::NewArray { dst, len } => {
+                    let n = tri!(locals[len.index()].as_i64());
+                    locals[dst.index()] = tri!(self.heap.alloc_array(n));
+                    ip += 1;
+                }
+                OpKind::ArrayGet { dst, arr, idx } => {
+                    let i = tri!(locals[idx.index()].as_i64());
+                    let v = tri!(self.heap.array_get(locals[arr.index()], i));
+                    locals[dst.index()] = Value::I64(v);
+                    ip += 1;
+                }
+                OpKind::ArraySet { arr, idx, src } => {
+                    let i = tri!(locals[idx.index()].as_i64());
+                    let v = tri!(locals[src.index()].as_i64());
+                    tri!(self.heap.array_set(locals[arr.index()], i, v));
+                    ip += 1;
+                }
+                OpKind::ArrayLen { dst, arr } => {
+                    let n = tri!(self.heap.array_len(locals[arr.index()]));
+                    locals[dst.index()] = Value::I64(n);
+                    ip += 1;
+                }
+                OpKind::Call(g) => {
+                    call!(g.callee, None, g.args, g.dst, g.site, ip + 1)
+                }
+                OpKind::CallMethod(g) => {
+                    let o = locals[g.obj.index()];
+                    let class = tri!(self.heap.object(o)).class;
+                    let Some(callee) = prepared.method_impl(class, g.method) else {
+                        let name = prepared.module().method_name(g.method).to_owned();
+                        break 'run Err(TrapKind::NoSuchMethod(name).into());
+                    };
+                    let expected = prepared.func(callee).arity;
+                    if expected != g.args.len() + 1 {
+                        break 'run Err(TrapKind::ArityMismatch {
+                            method: prepared.module().function(callee).name().to_owned(),
+                            given: g.args.len() + 1,
+                            expected,
+                        }
+                        .into());
+                    }
+                    call!(callee, Some(o), g.args, g.dst, g.site, ip + 1);
+                }
+                OpKind::CallMethodStatic(g) => {
+                    let o = locals[g.obj.index()];
+                    // The method target and arity were verified at prepare
+                    // time; the receiver must still be a live object so
+                    // null and type traps match the dynamic path.
+                    tri!(self.heap.object(o));
+                    call!(g.callee, Some(o), g.args, g.dst, g.site, ip + 1);
+                }
+                OpKind::Print { src } => {
+                    let n = match locals[src.index()] {
+                        Value::I64(n) => n,
+                        Value::Bool(b) => i64::from(b),
+                        other => {
+                            break 'run Err(TrapKind::TypeError {
+                                expected: "printable value",
+                                found: other.kind_name(),
+                            }
+                            .into())
+                        }
+                    };
+                    self.output.push(n);
+                    ip += 1;
+                }
+                OpKind::Spawn(g) => {
+                    // The new thread's record joins `threads` before its
+                    // first frame is checked against the depth limit,
+                    // exactly as in the naive engine.
+                    let tid = self.threads.len();
+                    self.threads.push(Thread {
+                        frames: Vec::new(),
+                        stack: Vec::new(),
+                        state: ThreadState::Runnable,
+                    });
+                    if self.max_stack == 0 {
+                        break 'run Err(TrapKind::StackOverflow(0).into());
+                    }
+                    let pf = prepared.func(g.callee);
+                    debug_assert_eq!(pf.arity, g.args.len());
+                    let mut st = vec![Value::Unit; pf.num_locals];
+                    for (slot, a) in st.iter_mut().zip(g.args.iter()) {
+                        *slot = locals[a.index()];
+                    }
+                    if P::ENABLED {
+                        if let Some(d) = self.entry_deltas.get_mut(pf.slot_base as usize) {
+                            *d += 1;
+                        }
+                    }
+                    let t = &mut self.threads[tid];
+                    t.stack = st;
+                    t.frames.push(Frame {
+                        func: g.callee,
+                        ops: &pf.ops,
+                        base: pf.slot_base,
+                        ip: 0,
+                        fp: 0,
+                        ret_dst: None,
+                        caller: None,
+                        path_reg: None,
+                    });
+                    self.entries_executed += 1;
+                    locals[g.dst.index()] = Value::Thread(tid as u32);
+                    ip += 1;
+                }
+                OpKind::Join { thread } => {
+                    let t = match locals[thread.index()] {
+                        Value::Thread(t) => t as usize,
+                        other => {
+                            break 'run Err(TrapKind::TypeError {
+                                expected: "thread handle",
+                                found: other.kind_name(),
+                            }
+                            .into())
+                        }
+                    };
+                    if self.threads[t].state != ThreadState::Done {
+                        self.threads[cur].state = ThreadState::Blocked(t);
+                        if P::ENABLED {
+                            // The join re-dispatches when unblocked: count
+                            // the extra dispatch now, confined to this slot
+                            // (`-1` right after keeps the rest of the block
+                            // at one execution per entry). If the wake
+                            // never comes, the end-of-run cut at this
+                            // frame's `ip` cancels the prediction.
+                            let slot = base + ip;
+                            if let Some(d) = self.entry_deltas.get_mut(slot) {
+                                *d += 1;
+                            }
+                            if let Some(d) = self.entry_deltas.get_mut(slot + 1) {
+                                *d -= 1;
+                            }
+                        }
+                        // Do not advance: the join re-executes when
+                        // unblocked.
+                        break 'run Ok(());
+                    }
+                    ip += 1;
+                }
+                OpKind::Yield => {
+                    self.yields_executed += 1;
+                    ip += 1;
+                    if self.switch_bit {
+                        self.switch_bit = false;
+                        break 'run Ok(());
+                    }
+                }
+                OpKind::Busy => {
+                    // The cost was already charged; nothing else happens.
+                    ip += 1;
+                }
+                OpKind::CallEdge => {
+                    // Examine the call stack (paper §4.2): the caller and
+                    // the call site were stashed in the frame at call time.
+                    if let Some((caller, site)) = frames.last().and_then(|f| f.caller) {
+                        self.profile.record_call_edge(caller, site, func);
+                    }
+                    ip += 1;
+                }
+                OpKind::FieldAccessProf { obj, field, write } => {
+                    let class = tri!(self.heap.object(locals[obj.index()])).class;
+                    self.profile.record_field_access(class, *field, *write);
+                    ip += 1;
+                }
+                OpKind::BlockCount { block } => {
+                    self.profile.record_block(func, *block);
+                    ip += 1;
+                }
+                OpKind::EdgeCount { from, to } => {
+                    self.profile.record_edge(func, *from, *to);
+                    ip += 1;
+                }
+                OpKind::PathStart { value } => {
+                    if let Some(f) = frames.last_mut() {
+                        f.path_reg = Some(*value);
+                    }
+                    ip += 1;
+                }
+                OpKind::PathIncr { delta } => {
+                    // `delta` may be the pre-folded sum of a fused run; the
+                    // width then advances past the whole run's slots.
+                    if let Some(r) = frames.last_mut().and_then(|f| f.path_reg.as_mut()) {
+                        *r += *delta;
+                    }
+                    ip += w;
+                }
+                OpKind::PathEnd { site } => {
+                    if let Some(id) = frames.last_mut().and_then(|f| f.path_reg.take()) {
+                        self.profile.record_path(func, *site, id);
+                    }
+                    ip += 1;
+                }
+                OpKind::ValueProfile { local, site } => {
+                    let v = match locals[local.index()] {
+                        Value::I64(n) => n,
+                        Value::Bool(b) => i64::from(b),
+                        // Reference values are profiled by identity.
+                        Value::Obj(h) | Value::Arr(h) | Value::Thread(h) => i64::from(h),
+                        Value::Null => -1,
+                        Value::Unit => 0,
+                    };
+                    self.profile.record_value(func, *site, v);
+                    ip += 1;
+                }
+                // Fused superinstructions: each arm replays its group's
+                // original effects in order under one dispatch. The group
+                // cost was charged up front (sound because only the final
+                // effectful component can trap); the arms with later
+                // trap-capable components charge their `extra`/`branch`
+                // halves mid-arm to keep fuel traps on the unfused
+                // schedule.
+                OpKind::BinImm(g) => {
+                    locals[g.tmp.index()] = g.imm;
+                    locals[g.dst.index()] = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    ip += w;
+                }
+                OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
+                    locals[tmp.index()] = Value::I64(*idx);
+                    let v = tri!(self.heap.array_get(locals[arr.index()], *idx));
+                    locals[dst.index()] = Value::I64(v);
+                    ip += w;
+                }
+                OpKind::ArraySetImm { arr, tmp, idx, src } => {
+                    locals[tmp.index()] = Value::I64(*idx);
+                    let v = tri!(locals[src.index()].as_i64());
+                    tri!(self.heap.array_set(locals[arr.index()], *idx, v));
+                    ip += w;
+                }
+                OpKind::ArraySetImm2(g) => {
+                    locals[g.tmp.index()] = Value::I64(g.idx);
+                    locals[g.src_tmp.index()] = g.src;
+                    let v = tri!(g.src.as_i64());
+                    tri!(self.heap.array_set(locals[g.arr.index()], g.idx, v));
+                    ip += w;
+                }
+                OpKind::GetFieldBin(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    locals[g.dst.index()] = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    ip += w;
+                }
+                OpKind::BinSetField(g) => {
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] = v;
+                    ip += w;
+                }
+                OpKind::BinImmSetField(g) => {
+                    locals[g.tmp.index()] = g.imm;
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] = v;
+                    ip += w;
+                }
+                OpKind::GetFieldBinImm(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    locals[g.ctmp.index()] = g.imm;
+                    locals[g.dst.index()] = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    ip += w;
+                }
+                OpKind::GetFieldBinImmSetField(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    locals[g.ctmp.index()] = g.imm;
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.extra2));
+                    tri!(self.heap.object_mut(locals[g.sobj.index()])).fields[g.soffset as usize] =
+                        v;
+                    ip += w;
+                }
+                OpKind::ConstSetField(g) => {
+                    locals[g.tmp.index()] = g.imm;
+                    tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] =
+                        g.imm;
+                    ip += w;
+                }
+                OpKind::GetFieldBrCmp(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.branch));
+                    // A successful comparison always yields a bool, so this
+                    // is the `as_bool` of the unfused g.branch, trap-free.
+                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
+                }
+                OpKind::GetFieldArrayGet(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    let i = tri!(v.as_i64());
+                    let v = tri!(self.heap.array_get(locals[g.arr.index()], i));
+                    locals[g.dst.index()] = Value::I64(v);
+                    ip += w;
+                }
+                OpKind::GetFieldArraySet(g) => {
+                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
+                    locals[g.tmp.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    let i = tri!(v.as_i64());
+                    let v = tri!(locals[g.src.index()].as_i64());
+                    tri!(self.heap.array_set(locals[g.arr.index()], i, v));
+                    ip += w;
+                }
+                OpKind::MoveRun { moves } => {
+                    for (dst, src) in moves.iter() {
+                        locals[dst.index()] = locals[src.index()];
+                    }
+                    ip += w;
+                }
+                OpKind::BrCmp(g) => {
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
+                }
+                OpKind::BrCmpImm(g) => {
+                    locals[g.tmp.index()] = g.imm;
+                    let v = tri!(Value::binary(
+                        g.op,
+                        locals[g.lhs.index()],
+                        locals[g.rhs.index()]
+                    ));
+                    locals[g.dst.index()] = v;
+                    tri!(self.charge_cycles(g.extra));
+                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
+                }
+                OpKind::JumpInstr { target, effects } => {
+                    enter!(*target);
+                    for e in effects.iter() {
+                        match e {
+                            InstrEffect::CallEdge => {
+                                if let Some((caller, site)) = frames.last().and_then(|f| f.caller) {
+                                    self.profile.record_call_edge(caller, site, func);
+                                }
+                            }
+                            InstrEffect::BlockCount(b) => self.profile.record_block(func, *b),
+                            InstrEffect::EdgeCount(from, to) => {
+                                self.profile.record_edge(func, *from, *to);
+                            }
+                        }
+                    }
+                }
+                OpKind::Guided { steps, .. } => {
+                    // The generalized profile-guided group: charge and
+                    // execute per component (the up-front charge covered
+                    // `steps[0]`), so budget traps, timer ticks and
+                    // threadswitch catch-ups land at exactly the unfused
+                    // positions for any component mix. Only the final step
+                    // may be a call; it resumes past the whole group.
+                    let (last, body) = steps.split_last().expect("guided group is non-empty");
+                    debug_assert!(!body.is_empty(), "guided groups have two or three steps");
+                    for (k, (cost, step)) in body.iter().enumerate() {
+                        if k > 0 {
+                            tri!(self.charge_cycles(*cost));
+                        }
+                        tri!(self.exec_component(locals, step));
+                    }
+                    tri!(self.charge_cycles(last.0));
+                    match &last.1 {
+                        OpKind::Call(g) => {
+                            call!(g.callee, None, g.args, g.dst, g.site, ip + w)
+                        }
+                        OpKind::CallMethodStatic(g) => {
+                            let o = locals[g.obj.index()];
+                            // Target and arity verified at prepare time;
+                            // the receiver still null/type-checks.
+                            tri!(self.heap.object(o));
+                            call!(g.callee, Some(o), g.args, g.dst, g.site, ip + w);
+                        }
+                        step => {
+                            tri!(self.exec_component(locals, step));
+                            ip += w;
+                        }
+                    }
+                }
+                OpKind::Gap => unreachable!("fusion gap slots are never executed"),
+                // Terminators (inlined into the arena as the block's last op).
+                OpKind::Jump { target, backedge } => goto!(*target, *backedge),
+                OpKind::Br {
+                    cond,
+                    t,
+                    f,
+                    t_backedge,
+                    f_backedge,
+                } => {
+                    if tri!(locals[cond.index()].as_bool()) {
+                        goto!(*t, *t_backedge);
+                    } else {
+                        goto!(*f, *f_backedge);
+                    }
+                }
+                OpKind::Ret { val } => {
+                    let value = val.map_or(Value::Unit, |l| locals[l.index()]);
+                    let frame = frames.pop().expect("ret pops the running frame");
+                    stack.truncate(frame.fp);
+                    let Some(caller) = frames.last() else {
+                        // The thread is done: its stacks go with it.
+                        self.threads[cur].state = ThreadState::Done;
+                        frames = Vec::new();
+                        stack = Vec::new();
+                        break 'run Ok(());
+                    };
+                    func = caller.func;
+                    ops = caller.ops;
+                    base = caller.base as usize;
+                    ip = caller.ip;
+                    fp = caller.fp;
+                    locals = &mut stack[fp..];
+                    if let Some(dst) = frame.ret_dst {
+                        locals[dst.index()] = value;
+                    }
+                }
+                OpKind::Check {
+                    sample,
+                    cont,
+                    sample_backedge,
+                    cont_backedge,
+                } => {
+                    self.checks_executed += 1;
+                    if self.trigger.on_check(cur) {
+                        self.samples_taken += 1;
+                        if S::ENABLED {
+                            let backedge = *sample_backedge || *cont_backedge;
+                            self.record_sample(cur, func, ip as u32, backedge);
+                        }
+                        if P::ENABLED {
+                            self.psink.record_sample(self.cycles, self.checks_executed);
+                            // The surcharge below is the one data-dependent
+                            // cycle charge; count the firing so
+                            // `fold_profile` can attribute it to this check.
+                            if let Some(n) = self.fire_counts.get_mut(base + ip) {
+                                *n += 1;
+                            }
+                        }
+                        // Jumping into cold duplicated code costs extra
+                        // (instruction-cache effects, §4.4 footnote 6).
+                        self.cycles += self.sample_switch;
+                        goto!(*sample, *sample_backedge);
+                    } else {
+                        goto!(*cont, *cont_backedge);
+                    }
                 }
             }
+        };
+        // Slice exit: write the registers back and reattach the stacks.
+        if let Some(top) = frames.last_mut() {
+            top.ip = ip;
         }
-        Ok(Step::Ran)
+        let t = &mut self.threads[cur];
+        t.frames = frames;
+        t.stack = stack;
+        result
+    }
+
+    /// Executes one non-call component of a [`OpKind::Guided`] group (the
+    /// guided-eligible plain ops) on the running frame's `locals`.
+    #[inline]
+    fn exec_component(&mut self, locals: &mut [Value], kind: &OpKind) -> Result<(), TrapKind> {
+        match kind {
+            OpKind::Const { dst, value } => locals[dst.index()] = *value,
+            OpKind::Move { dst, src } => locals[dst.index()] = locals[src.index()],
+            OpKind::Un { op, dst, src } => {
+                locals[dst.index()] = Value::unary(*op, locals[src.index()])?;
+            }
+            OpKind::Bin { op, dst, lhs, rhs } => {
+                locals[dst.index()] = Value::binary(*op, locals[lhs.index()], locals[rhs.index()])?;
+            }
+            OpKind::GetFieldStatic { dst, obj, offset } => {
+                locals[dst.index()] =
+                    self.heap.object(locals[obj.index()])?.fields[*offset as usize];
+            }
+            OpKind::SetFieldStatic { obj, offset, src } => {
+                let v = locals[src.index()];
+                self.heap.object_mut(locals[obj.index()])?.fields[*offset as usize] = v;
+            }
+            OpKind::ArrayGet { dst, arr, idx } => {
+                let i = locals[idx.index()].as_i64()?;
+                locals[dst.index()] = Value::I64(self.heap.array_get(locals[arr.index()], i)?);
+            }
+            OpKind::ArraySet { arr, idx, src } => {
+                let i = locals[idx.index()].as_i64()?;
+                let v = locals[src.index()].as_i64()?;
+                self.heap.array_set(locals[arr.index()], i, v)?;
+            }
+            OpKind::ArrayLen { dst, arr } => {
+                locals[dst.index()] = Value::I64(self.heap.array_len(locals[arr.index()])?);
+            }
+            other => unreachable!("non-guided-eligible component {other:?} in guided group"),
+        }
+        Ok(())
     }
 }
 

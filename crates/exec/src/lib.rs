@@ -61,12 +61,10 @@ pub use cost::CostModel;
 pub use error::{TrapKind, VmError};
 pub use heap::Heap;
 pub use interp::{
-    run, run_prepared, run_prepared_observed, run_prepared_profiled, run_prepared_sched,
-    run_prepared_traced, run_traced, ExecLimits, VmConfig,
+    run, run_prepared, run_prepared_profiled, run_prepared_sched, run_prepared_traced, run_traced,
+    ExecLimits, VmConfig,
 };
-pub use naive::{
-    run_naive, run_naive_observed, run_naive_profiled, run_naive_sched, run_naive_traced,
-};
+pub use naive::{run_naive, run_naive_profiled, run_naive_sched, run_naive_traced};
 pub use outcome::{Outcome, ZeroCycleBaseline};
 pub use prepared::{
     fuse_mode, mine_hot_sequences, preparations, set_fuse_mode, thread_preparations, FuseMode,

@@ -59,7 +59,13 @@ pub fn run_naive_traced<S: TraceSink>(
     config: &VmConfig,
     sink: &mut S,
 ) -> Result<Outcome, VmError> {
-    run_naive_observed(module, config, sink, &mut NoMetrics)
+    run_naive_sched(
+        module,
+        config,
+        sink,
+        &mut NoMetrics,
+        &mut SchedControl::default(),
+    )
 }
 
 /// [`run_naive`] with a per-opcode dispatch-profile sink.
@@ -79,30 +85,19 @@ pub fn run_naive_profiled<P: ProfileSink>(
     config: &VmConfig,
     profile: &mut P,
 ) -> Result<Outcome, VmError> {
-    run_naive_observed(module, config, &mut NoTrace, profile)
+    run_naive_sched(
+        module,
+        config,
+        &mut NoTrace,
+        profile,
+        &mut SchedControl::default(),
+    )
 }
 
-/// [`run_naive`] with both observers: a burst-trace sink and a
-/// dispatch-profile sink, each independently monomorphized.
-///
-/// # Errors
-///
-/// Returns a [`VmError`] on any runtime trap, exactly as [`crate::run`]
-/// does.
-pub fn run_naive_observed<S: TraceSink, P: ProfileSink>(
-    module: &Module,
-    config: &VmConfig,
-    sink: &mut S,
-    profile: &mut P,
-) -> Result<Outcome, VmError> {
-    // The default control is the recording-free round-robin fast path —
-    // this call adds nothing to the plain engine.
-    let mut sched = SchedControl::default();
-    run_naive_sched(module, config, sink, profile, &mut sched)
-}
-
-/// [`run_naive_observed`] with an explicit scheduling control, the naive
-/// counterpart of [`crate::run_prepared_sched`]. Reschedule points are
+/// [`run_naive`] with both observers — a burst-trace sink and a
+/// dispatch-profile sink, each independently monomorphized — and an
+/// explicit scheduling control, the naive counterpart of
+/// [`crate::run_prepared_sched`]. Reschedule points are
 /// driven by the same deterministic simulated clock on both engines, so a
 /// [`crate::ScheduleTrace`] recorded on one engine replays byte-identically
 /// on the other.

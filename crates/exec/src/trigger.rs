@@ -213,6 +213,16 @@ impl TriggerState {
         }
     }
 
+    /// The first clock value at which [`TriggerState::on_tick`] has an
+    /// effect (`u64::MAX` for the triggers that ignore the clock), so the
+    /// interpreter can tick only when the clock reaches it.
+    pub(crate) fn next_tick(&self) -> u64 {
+        match self {
+            TriggerState::Timer { next_fire, .. } => *next_fire,
+            _ => u64::MAX,
+        }
+    }
+
     /// Evaluates the sample condition at a check executed by `thread`.
     #[inline]
     pub(crate) fn on_check(&mut self, thread: usize) -> bool {

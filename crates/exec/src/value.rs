@@ -27,6 +27,10 @@ pub enum Value {
     Unit,
 }
 
+// Locals, value stacks and op immediates are arrays of `Value`; pin its
+// size so a new variant cannot silently widen every one of them.
+const _: () = assert!(std::mem::size_of::<Value>() == 16);
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

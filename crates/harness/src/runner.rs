@@ -1677,8 +1677,12 @@ mod tests {
         // cache serves a guided decode (paying one warmup), the run's
         // outcome is identical to the non-PGO one, and the call-dense
         // benchmarks clear the coverage target the static catalogue
-        // could not reach.
+        // could not reach. Guided preparation refines the statically
+        // fused form, so fusion is pinned on for the test even when the
+        // suite runs under `ISF_FUSE=0` (fusion is observably equivalent,
+        // and the fuse mode keys the preparation cache).
         let _guard = JOBS_TEST_LOCK.lock().unwrap();
+        isf_exec::set_fuse_mode(Some(FuseMode::Fuse));
         let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
         let m = w.compile();
         let baseline = run_module(&m, Trigger::Never);
@@ -1694,6 +1698,7 @@ mod tests {
         set_profiling(false);
         let coverage = fusion_coverage(Scale::Smoke);
         set_pgo(false);
+        isf_exec::set_fuse_mode(None);
         assert!(
             prepared.num_guided() > 0,
             "guided preparation instantiated no generalized groups"
@@ -1715,6 +1720,9 @@ mod tests {
     #[test]
     fn profiled_runs_fold_into_the_registry_and_match_unprofiled() {
         let _guard = JOBS_TEST_LOCK.lock().unwrap();
+        // The coverage assertions below are about the fused form: pin
+        // fusion on even when the suite runs under `ISF_FUSE=0`.
+        isf_exec::set_fuse_mode(Some(FuseMode::Fuse));
         let w = isf_workloads::by_name("compress", Scale::Smoke).unwrap();
         // Instrumented module: sampling checks are what feed the trigger
         // gap histograms (an uninstrumented program never samples).
@@ -1730,6 +1738,7 @@ mod tests {
         let coverage = fusion_coverage(Scale::Smoke);
         let snap = metrics::snapshot();
         set_profiling(false);
+        isf_exec::set_fuse_mode(None);
         assert_eq!(plain, profiled, "profiling must not change the outcome");
         // The registry is process-global and other tests may record while
         // profiling is on, so registry assertions are delta-based.

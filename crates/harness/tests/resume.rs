@@ -310,3 +310,50 @@ fn resume_without_a_journal_is_a_clear_error() {
         missing.stderr
     );
 }
+
+#[test]
+fn deeply_nested_journal_line_is_refused_as_corrupt_not_aborted() {
+    // The JSON reader behind `--resume` recursed once per nesting level,
+    // so one line of 100,000 `[` overflowed the stack and aborted the
+    // process (SIGABRT). It must be an ordinary corrupt-journal refusal.
+    let dir = TempDir::new("deep");
+    let journal = dir.path("deep.journal");
+    let journal_str = journal.display().to_string();
+    let first = run_to_end(harness(&[
+        "--scale",
+        "smoke",
+        "--journal",
+        &journal_str,
+        "table1",
+    ]));
+    assert_eq!(first.code, Some(0), "seed run failed: {}", first.stderr);
+    let mut text = std::fs::read_to_string(&journal).expect("read journal");
+    text.push_str(&"[".repeat(100_000));
+    text.push('\n');
+    std::fs::write(&journal, &text).expect("write journal");
+
+    let resumed = run_to_end(harness(&[
+        "--scale",
+        "smoke",
+        "--journal",
+        &journal_str,
+        "--resume",
+        "table1",
+    ]));
+    assert_eq!(resumed.code, Some(1), "{}", resumed.stderr);
+    assert!(
+        resumed.stderr.contains("corrupt journal") && resumed.stderr.contains("nesting too deep"),
+        "diagnostic must name the refusal class and the cause: {}",
+        resumed.stderr
+    );
+    assert!(resumed.stdout.is_empty(), "a refused resume runs nothing");
+
+    // `validate-jsonl` reads with the same parser: a typed failure too.
+    let validated = run_to_end(harness(&["validate-jsonl", &journal_str]));
+    assert_eq!(validated.code, Some(1), "{}", validated.stderr);
+    assert!(
+        validated.stderr.contains("nesting too deep"),
+        "{}",
+        validated.stderr
+    );
+}

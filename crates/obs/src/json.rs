@@ -211,15 +211,22 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`parse`] accepts. The reader recurses
+/// once per level, so without a bound a line of 100,000 `[` would
+/// overflow the thread's stack and abort the process; the records this
+/// crate writes nest a handful of levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one complete JSON value; trailing non-whitespace is an error.
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] locating the first malformed byte.
+/// Returns a [`JsonError`] locating the first malformed byte, or the
+/// opening bracket that nests deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let bytes = input.as_bytes();
     let mut pos = 0;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(err(pos, "trailing characters"));
@@ -249,8 +256,13 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses the value at `pos`, which sits inside `depth` open arrays and
+/// objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
+    if matches!(bytes.get(*pos), Some(b'[' | b'{')) && depth >= MAX_DEPTH {
+        return Err(err(*pos, "nesting too deep"));
+    }
     match bytes.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => parse_lit(bytes, pos, "null", Json::Null),
@@ -266,7 +278,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -291,7 +303,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -452,6 +464,23 @@ mod tests {
         assert!(parse(r#"{"a":1} extra"#).is_err());
         assert!(parse("tru").is_err());
         assert!(parse(r#""unterminated"#).is_err());
+    }
+
+    #[test]
+    fn parser_refuses_deep_nesting_without_overflowing() {
+        let deep = "[".repeat(100_000);
+        let e = parse(&deep).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
+        assert_eq!(e.at, MAX_DEPTH);
+        let e = parse(&"{\"k\":".repeat(100_000)).unwrap_err();
+        assert_eq!(e.message, "nesting too deep");
+        // Exactly at the limit still parses; one more level does not.
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)).unwrap_err().message,
+            "nesting too deep"
+        );
     }
 
     #[test]
