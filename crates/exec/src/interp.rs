@@ -139,8 +139,8 @@ pub fn run_prepared(prepared: &PreparedModule, config: &VmConfig) -> Result<Outc
 }
 
 /// [`run`] with a burst-trace sink: prepares internally, then records every
-/// sampling burst into `sink`. See [`crate::trace`] for the recording
-/// contract.
+/// sampling burst into `sink`. See [`TraceSink`](crate::TraceSink) for the
+/// recording contract.
 ///
 /// # Errors
 ///

@@ -1,6 +1,6 @@
 //! Per-opcode dispatch profiling.
 //!
-//! Where [`crate::trace`] observes *sampling* (one record per firing
+//! Where the [`TraceSink`](crate::TraceSink) observes *sampling* (one record per firing
 //! check), this module observes *dispatch*: every executed op, classified
 //! by a stable opcode index, with its source-instruction width and the
 //! simulated cycles it consumed. A [`ProfileSink`] receives
@@ -27,10 +27,10 @@
 //! comparable — and, by the differential tests, identical — to an
 //! unfused prepared profile of the same run. Indices
 //! [`FIRST_STATIC`]`..`[`FIRST_FUSED`] are the statically-resolved forms
-//! and [`FIRST_FUSED`]`..`[`OPC_GAP`] the fused superinstructions, both
+//! and [`FIRST_FUSED`]`..OPC_GAP` the fused superinstructions, both
 //! produced only by fusing preparation (`FuseMode::Fuse`, or
 //! `FuseMode::Guided` which additionally emits the generalized
-//! [`OPC_GUIDED`] template from a warmup profile's [`FuseGuidance`]).
+//! `OPC_GUIDED` template from a warmup profile's [`FuseGuidance`]).
 //!
 //! # Exactness, cheaply
 //!
@@ -377,7 +377,7 @@ impl OpProfile {
     }
 
     /// Source instructions executed through the generalized profile-guided
-    /// template ([`OPC_GUIDED`]) — a subset of
+    /// template (`OPC_GUIDED`) — a subset of
     /// [`OpProfile::fused_instructions`], nonzero only for modules
     /// prepared under `FuseMode::Guided`.
     #[must_use]

@@ -5,7 +5,7 @@
 //! compiled again by Jalapeño's optimizing compiler into an IR that the
 //! sampling transforms rewrite. This crate is our analogue of the front
 //! half of that pipeline: Jive source → AST → checked AST → `isf-ir`
-//! [`Module`](isf_ir::Module), with yieldpoints placed on method entries and
+//! [`Module`], with yieldpoints placed on method entries and
 //! loop backedges exactly where Jalapeño places them.
 //!
 //! # Language summary
@@ -55,7 +55,7 @@ mod token;
 
 pub use diag::CompileError;
 pub use lexer::Lexer;
-pub use parser::parse;
+pub use parser::{parse, MAX_NESTING};
 pub use token::{Token, TokenKind};
 
 use isf_ir::Module;

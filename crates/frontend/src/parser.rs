@@ -5,22 +5,65 @@ use crate::diag::{CompileError, Pos};
 use crate::lexer::Lexer;
 use crate::token::{Token, TokenKind};
 
+/// The deepest nesting the parser accepts. Each nested expression
+/// (parentheses, call arguments, indices), unary operator, nested block
+/// (`if`/`else if`/`while` bodies), and link of a binary-operator or
+/// call/field/index chain counts one level. The parser and every later
+/// phase recurse over the tree, so the bound keeps the whole pipeline —
+/// debug builds included — within a 2 MiB thread stack; real programs
+/// stay far below it.
+pub const MAX_NESTING: usize = 100;
+
 /// Parses Jive source text into an AST.
 ///
 /// # Errors
 ///
-/// Returns the first lexical or syntactic error with its source position.
+/// Returns the first lexical or syntactic error with its source position,
+/// including input nested deeper than [`MAX_NESTING`].
 pub fn parse(source: &str) -> Result<Program, CompileError> {
     let tokens = Lexer::new(source).tokenize()?;
-    Parser { tokens, at: 0 }.program()
+    Parser {
+        tokens,
+        at: 0,
+        depth: 0,
+    }
+    .program()
 }
 
 struct Parser {
     tokens: Vec<Token>,
     at: usize,
+    /// Current nesting depth, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl Parser {
+    /// Goes one nesting level deeper, failing with a parse error at the
+    /// current token past [`MAX_NESTING`]. Callers restore `depth` when
+    /// they finish the construct.
+    fn descend(&mut self) -> Result<(), CompileError> {
+        if self.depth == MAX_NESTING {
+            return Err(CompileError::parse(
+                self.pos(),
+                format!("nesting deeper than {MAX_NESTING} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Runs `f` one nesting level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CompileError>,
+    ) -> Result<T, CompileError> {
+        let depth = self.depth;
+        self.descend()?;
+        let result = f(self);
+        self.depth = depth;
+        result
+    }
+
     fn peek(&self) -> &TokenKind {
         &self.tokens[self.at].kind
     }
@@ -151,11 +194,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, CompileError> {
         self.expect(TokenKind::LBrace)?;
-        let mut stmts = Vec::new();
-        while !self.eat(&TokenKind::RBrace) {
-            stmts.push(self.stmt()?);
-        }
-        Ok(stmts)
+        self.nested(|p| {
+            let mut stmts = Vec::new();
+            while !p.eat(&TokenKind::RBrace) {
+                stmts.push(p.stmt()?);
+            }
+            Ok(stmts)
+        })
     }
 
     fn stmt(&mut self) -> Result<Stmt, CompileError> {
@@ -235,7 +280,7 @@ impl Parser {
         let then_body = self.block()?;
         let else_body = if self.eat(&TokenKind::Else) {
             if self.peek() == &TokenKind::If {
-                vec![self.if_stmt()?]
+                vec![self.nested(Self::if_stmt)?]
             } else {
                 self.block()?
             }
@@ -260,12 +305,14 @@ impl Parser {
     }
 
     fn expr(&mut self) -> Result<Expr, CompileError> {
-        self.or_expr()
+        self.nested(Self::or_expr)
     }
 
     fn or_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.and_expr()?;
         while self.peek() == &TokenKind::OrOr {
+            self.descend()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.and_expr()?;
@@ -276,12 +323,15 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
     fn and_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.cmp_expr()?;
         while self.peek() == &TokenKind::AndAnd {
+            self.descend()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.cmp_expr()?;
@@ -292,6 +342,7 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
         Ok(lhs)
     }
 
@@ -318,6 +369,7 @@ impl Parser {
     }
 
     fn add_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -325,8 +377,9 @@ impl Parser {
                 TokenKind::Minus => BinaryOp::Sub,
                 TokenKind::Pipe => BinaryOp::BitOr,
                 TokenKind::Caret => BinaryOp::BitXor,
-                _ => return Ok(lhs),
+                _ => break,
             };
+            self.descend()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.mul_expr()?;
@@ -337,9 +390,12 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn mul_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut lhs = self.unary_expr()?;
         loop {
             let op = match self.peek() {
@@ -349,8 +405,9 @@ impl Parser {
                 TokenKind::Amp => BinaryOp::BitAnd,
                 TokenKind::Shl => BinaryOp::Shl,
                 TokenKind::Shr => BinaryOp::Shr,
-                _ => return Ok(lhs),
+                _ => break,
             };
+            self.descend()?;
             let pos = self.pos();
             self.bump();
             let rhs = self.unary_expr()?;
@@ -361,6 +418,8 @@ impl Parser {
                 pos,
             };
         }
+        self.depth = depth;
+        Ok(lhs)
     }
 
     fn unary_expr(&mut self) -> Result<Expr, CompileError> {
@@ -372,7 +431,7 @@ impl Parser {
         };
         if let Some(op) = op {
             self.bump();
-            let expr = self.unary_expr()?;
+            let expr = self.nested(Self::unary_expr)?;
             return Ok(Expr::Unary {
                 op,
                 expr: Box::new(expr),
@@ -383,9 +442,13 @@ impl Parser {
     }
 
     fn postfix_expr(&mut self) -> Result<Expr, CompileError> {
+        let depth = self.depth;
         let mut expr = self.primary_expr()?;
         loop {
             let pos = self.pos();
+            if matches!(self.peek(), TokenKind::Dot | TokenKind::LBracket) {
+                self.descend()?;
+            }
             if self.eat(&TokenKind::Dot) {
                 let name = self.ident()?;
                 if self.peek() == &TokenKind::LParen {
@@ -412,6 +475,7 @@ impl Parser {
                     pos,
                 };
             } else {
+                self.depth = depth;
                 return Ok(expr);
             }
         }

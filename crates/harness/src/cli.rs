@@ -12,7 +12,7 @@
 use std::path::PathBuf;
 
 use crate::explore::{self, ExploreSpec};
-use crate::runner;
+use crate::runner::{self, HarnessConfig};
 use crate::Scale;
 
 /// The canonical experiment list `all` expands to, in run order.
@@ -24,6 +24,18 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
 const KNOWN_EXPERIMENTS: &[&str] = &[
     "table1", "table2", "table3", "table4", "table5", "fig7", "fig8", "fig8a", "fig8b", "extras",
     "spin", "all",
+];
+
+/// The flags an `--explore` invocation accepts; every other flag only
+/// means something for an experiment run.
+const SHARED_FLAGS: &[&str] = &[
+    "--scale",
+    "--jobs",
+    "--emit",
+    "--emit-path",
+    "--explore",
+    "--help",
+    "-h",
 ];
 
 /// The full usage text (structural errors and `--help`).
@@ -40,20 +52,20 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20      isf-harness bench-snapshot [--scale smoke|default|paper] [--jobs N] [--out DIR]\n\
      \x20      isf-harness validate-jsonl <FILE>\n\
      experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all\n\
-     N defaults to $ISF_JOBS, then the machine's available parallelism;\n\
-     --retries defaults to $ISF_RETRIES (0), --cell-budget to $ISF_CELL_BUDGET (uncapped);\n\
-     --cell-deadline cancels any cell attempt running longer than MS wall-clock\n\
-     milliseconds (also $ISF_CELL_DEADLINE; 0 = off) — the cell is annotated and the\n\
+     --jobs defaults to the machine's available parallelism; --retries to 0;\n\
+     --cell-budget to 0 (uncapped); --cell-deadline cancels any cell attempt running\n\
+     longer than MS wall-clock milliseconds (0 = off) — the cell is annotated and the\n\
      run exits 75; --run-deadline stops claiming new cells after MS milliseconds and\n\
      drains (journaled runs resume with --resume); --cancel-after-cycles cancels every\n\
-     cell run at a fixed simulated cycle (also $ISF_CANCEL_AFTER) — the deterministic\n\
-     stand-in for --cell-deadline in tests;\n\
-     --journal defaults to $ISF_JOURNAL (off); --resume replays a journal's finished cells;\n\
-     --no-fuse disables superinstruction fusion (also $ISF_FUSE=0) — results are identical;\n\
-     --pgo enables profile-guided fusion (also $ISF_PGO=1): each module runs a short\n\
-     warmup cell and is re-prepared with guided superinstructions — results are identical;\n\
-     --profile enables VM self-profiling (also $ISF_PROFILE=1): per-opcode dispatch\n\
-     profiles, fusion coverage, and `metrics`/`span-summary` JSONL records;\n\
+     cell run at a fixed simulated cycle — the deterministic stand-in for\n\
+     --cell-deadline in tests;\n\
+     --journal writes a crash-safe cell journal; --resume replays its finished cells;\n\
+     --no-fuse disables superinstruction fusion (on by default unless $ISF_FUSE=0) —\n\
+     results are identical;\n\
+     --pgo enables profile-guided fusion: each module runs a short warmup cell and\n\
+     is re-prepared with guided superinstructions — results are identical;\n\
+     --profile enables VM self-profiling: per-opcode dispatch profiles, fusion\n\
+     coverage, and `metrics`/`span-summary` JSONL records;\n\
      --trace-out writes a Chrome trace-event JSON file (open in Perfetto);\n\
      --explore records N seeded-random thread schedules per benchmark (plus PCT\n\
      priority schedules and a bounded exhaustive DFS for shallow schedule trees) and\n\
@@ -64,55 +76,26 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
 /// A fully parsed experiment run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
-    /// Workload scale.
-    pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// Scale, jobs, budgets, deadlines, fault injection, fusion and PGO.
+    pub harness: HarnessConfig,
     /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
     pub emit_json: Option<bool>,
     /// `--emit-path`: write the JSONL stream here, tables stay on stdout.
     pub emit_path: Option<PathBuf>,
-    /// `--retries` override.
-    pub retries: Option<usize>,
-    /// `--cell-budget` override.
-    pub cell_budget: Option<u64>,
-    /// `--cell-deadline`: per-cell wall-clock deadline in milliseconds
-    /// (`0` = off). A cell attempt that runs longer is cooperatively
-    /// cancelled by the watchdog and annotated; the run exits 75.
-    pub cell_deadline: Option<u64>,
     /// `--run-deadline`: whole-run wall-clock deadline in milliseconds
     /// (`0` = off). When it elapses, the harness stops claiming new
     /// cells, drains in-flight ones, and exits 75 — journaled runs pick
     /// up where they left off with `--resume`.
     pub run_deadline: Option<u64>,
-    /// `--cancel-after-cycles`: cancel every cell run at a fixed
-    /// simulated cycle (`0` = off) — the deterministic, byte-reproducible
-    /// stand-in for `--cell-deadline` used by tests and CI.
-    pub cancel_after: Option<u64>,
-    /// `--fault-inject` probability and seed.
-    pub fault: Option<(f64, u64)>,
     /// `--journal`: the crash-safe cell journal path.
     pub journal: Option<PathBuf>,
     /// `--resume`: replay the journal's finished cells.
     pub resume: bool,
-    /// `--no-fuse`: run the prepared engine without superinstruction
-    /// fusion (the `ISF_FUSE=0` escape hatch as a flag). Observable
-    /// results are identical either way; this exists for ablation and for
-    /// the CI equivalence diff.
-    pub no_fuse: bool,
-    /// `--pgo`: profile-guided fusion (also `ISF_PGO=1`). Every module
-    /// served by the preparation cache first runs a short warmup cell
-    /// under the profiled engine and is then re-prepared with guided
-    /// superinstructions mined from that profile. Observable results —
-    /// stdout, cycle counts, traps, the JSONL stream — are identical to a
-    /// statically-fused run; only coverage (and dispatch counts under
-    /// `--profile`) move.
-    pub pgo: bool,
     /// `--profile`: enable VM self-profiling (the metrics registry,
     /// per-opcode dispatch profiles, fusion coverage, and the
-    /// `metrics`/`span-summary` JSONL records). Also `ISF_PROFILE=1`.
-    /// Cycle counts and traps are identical either way; tables and the
-    /// profiling-independent JSONL records stay byte-identical.
+    /// `metrics`/`span-summary` JSONL records). Cycle counts and traps are
+    /// identical either way; tables and the profiling-independent JSONL
+    /// records stay byte-identical.
     pub profile: bool,
     /// `--trace-out`: write the run's hierarchical span trace here as
     /// Chrome trace-event JSON (loadable in Perfetto). Implies span
@@ -126,10 +109,8 @@ pub struct RunConfig {
 /// instead of an experiment run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ExploreConfig {
-    /// Workload scale.
-    pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// Scale and jobs; exploration rejects every other harness flag.
+    pub harness: HarnessConfig,
     /// `--emit json` / `--emit off`.
     pub emit_json: Option<bool>,
     /// `--emit-path`: write the JSONL stream here, the report stays on
@@ -144,10 +125,8 @@ pub struct ExploreConfig {
 /// A parsed `bench-snapshot` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SnapshotConfig {
-    /// Workload scale.
-    pub scale: Scale,
-    /// `--jobs` worker-thread override.
-    pub jobs: Option<usize>,
+    /// Scale (default `smoke`) and jobs.
+    pub harness: HarnessConfig,
     /// Output directory.
     pub out: PathBuf,
 }
@@ -235,97 +214,73 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 
     let mut cfg = RunConfig {
-        scale: Scale::Default,
-        jobs: None,
+        harness: HarnessConfig::default(),
         emit_json: None,
         emit_path: None,
-        retries: None,
-        cell_budget: None,
-        cell_deadline: None,
         run_deadline: None,
-        cancel_after: None,
-        fault: None,
         journal: None,
         resume: false,
-        no_fuse: false,
-        pgo: false,
         profile: false,
         trace_out: None,
         experiments: Vec::new(),
     };
+    // Run-only flags in the order given, so `--explore` can reject the
+    // first one by name.
+    let mut run_only: Vec<&str> = Vec::new();
     let mut explore_spec: Option<ExploreSpec> = None;
     let mut positionals: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--scale" => cfg.scale = parse_scale(next_value(&mut it, "--scale")?)?,
-            "--jobs" => cfg.jobs = Some(parse_jobs(next_value(&mut it, "--jobs")?)?),
+        let flag = arg.as_str();
+        if flag.starts_with('-') && !SHARED_FLAGS.contains(&flag) {
+            run_only.push(flag);
+        }
+        match flag {
+            "--scale" => cfg.harness.scale = parse_scale(next_value(&mut it, flag)?)?,
+            "--jobs" => cfg.harness.jobs = parse_jobs(next_value(&mut it, flag)?)?,
             "--emit" => {
-                cfg.emit_json = Some(match next_value(&mut it, "--emit")? {
+                cfg.emit_json = Some(match next_value(&mut it, flag)? {
                     "json" => true,
                     "off" => false,
                     v => return Err(bad(format!("--emit must be `json` or `off`, got `{v}`"))),
                 });
             }
-            "--emit-path" => {
-                cfg.emit_path = Some(PathBuf::from(next_value(&mut it, "--emit-path")?));
-            }
+            "--emit-path" => cfg.emit_path = Some(PathBuf::from(next_value(&mut it, flag)?)),
             "--retries" => {
-                let v = next_value(&mut it, "--retries")?;
-                cfg.retries = Some(v.parse::<usize>().map_err(|_| {
-                    bad(format!(
-                        "--retries must be a non-negative integer (fitting usize), got `{v}`"
-                    ))
-                })?);
+                cfg.harness.retries = parse_count(&mut it, flag, "a non-negative integer")?;
             }
             "--cell-budget" => {
-                let v = next_value(&mut it, "--cell-budget")?;
-                cfg.cell_budget = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cell-budget must be a non-negative cycle count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                cfg.harness.cell_budget = parse_count(&mut it, flag, "a non-negative cycle count")?;
             }
             "--cell-deadline" => {
-                let v = next_value(&mut it, "--cell-deadline")?;
-                cfg.cell_deadline = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cell-deadline must be a non-negative millisecond count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                cfg.harness.cell_deadline =
+                    parse_count(&mut it, flag, "a non-negative millisecond count")?;
             }
             "--run-deadline" => {
-                let v = next_value(&mut it, "--run-deadline")?;
-                cfg.run_deadline = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--run-deadline must be a non-negative millisecond count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                cfg.run_deadline = Some(parse_count(
+                    &mut it,
+                    flag,
+                    "a non-negative millisecond count",
+                )?);
             }
             "--cancel-after-cycles" => {
-                let v = next_value(&mut it, "--cancel-after-cycles")?;
-                cfg.cancel_after = Some(v.parse::<u64>().map_err(|_| {
-                    bad(format!(
-                        "--cancel-after-cycles must be a non-negative cycle count (fitting u64), got `{v}`"
-                    ))
-                })?);
+                cfg.harness.cancel_after =
+                    parse_count(&mut it, flag, "a non-negative cycle count")?;
             }
             "--fault-inject" => {
-                let v = next_value(&mut it, "--fault-inject")?;
-                cfg.fault = Some(
+                let v = next_value(&mut it, flag)?;
+                cfg.harness.fault = Some(
                     runner::parse_fault_spec(v).map_err(|e| bad(format!("--fault-inject: {e}")))?,
                 );
             }
-            "--journal" => cfg.journal = Some(PathBuf::from(next_value(&mut it, "--journal")?)),
+            "--journal" => cfg.journal = Some(PathBuf::from(next_value(&mut it, flag)?)),
             "--resume" => cfg.resume = true,
-            "--no-fuse" => cfg.no_fuse = true,
-            "--pgo" => cfg.pgo = true,
+            "--no-fuse" => cfg.harness.fuse = false,
+            "--pgo" => cfg.harness.pgo = true,
             "--profile" => cfg.profile = true,
-            "--trace-out" => {
-                cfg.trace_out = Some(PathBuf::from(next_value(&mut it, "--trace-out")?));
-            }
+            "--trace-out" => cfg.trace_out = Some(PathBuf::from(next_value(&mut it, flag)?)),
             "--explore" => {
-                let v = next_value(&mut it, "--explore")?;
+                let v = next_value(&mut it, flag)?;
                 explore_spec =
                     Some(explore::parse_spec(v).map_err(|e| bad(format!("--explore: {e}")))?);
             }
@@ -339,6 +294,11 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     }
 
     if let Some(spec) = explore_spec {
+        if let Some(flag) = run_only.first() {
+            return Err(bad(format!(
+                "--explore cannot be combined with {flag} (exploration runs all four engine configurations itself)"
+            )));
+        }
         return finish_explore(cfg, spec, positionals);
     }
 
@@ -357,36 +317,29 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     Ok(Command::Run(cfg))
 }
 
-/// Validates an `--explore` invocation: the positional arguments must be
-/// benchmark names (`all` expands to the whole suite), and the run-mode
-/// flags that have no meaning under exploration are rejected rather than
-/// silently ignored.
+/// Parses the value of a counter flag (`--retries`, `--cell-budget`, ...)
+/// as a non-negative integer of type `T`.
+fn parse_count<T: std::str::FromStr>(
+    it: &mut std::slice::Iter<'_, String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, CliError> {
+    let v = next_value(it, flag)?;
+    v.parse::<T>().map_err(|_| {
+        bad(format!(
+            "{flag} must be {what} (fitting {}), got `{v}`",
+            std::any::type_name::<T>()
+        ))
+    })
+}
+
+/// Validates an `--explore` invocation's positional arguments: they must
+/// be benchmark names (`all` expands to the whole suite).
 fn finish_explore(
     cfg: RunConfig,
     spec: ExploreSpec,
     positionals: Vec<String>,
 ) -> Result<Command, CliError> {
-    let incompatible: &[(&str, bool)] = &[
-        ("--retries", cfg.retries.is_some()),
-        ("--cell-budget", cfg.cell_budget.is_some()),
-        ("--cell-deadline", cfg.cell_deadline.is_some()),
-        ("--run-deadline", cfg.run_deadline.is_some()),
-        ("--cancel-after-cycles", cfg.cancel_after.is_some()),
-        ("--fault-inject", cfg.fault.is_some()),
-        ("--journal", cfg.journal.is_some()),
-        ("--resume", cfg.resume),
-        ("--no-fuse", cfg.no_fuse),
-        ("--pgo", cfg.pgo),
-        ("--profile", cfg.profile),
-        ("--trace-out", cfg.trace_out.is_some()),
-    ];
-    for &(flag, set) in incompatible {
-        if set {
-            return Err(bad(format!(
-                "--explore cannot be combined with {flag} (exploration runs all four engine configurations itself)"
-            )));
-        }
-    }
     let names = isf_workloads::names();
     for name in &positionals {
         if name != "all" && !names.contains(&name.as_str()) {
@@ -402,8 +355,7 @@ fn finish_explore(
         positionals
     };
     Ok(Command::Explore(ExploreConfig {
-        scale: cfg.scale,
-        jobs: cfg.jobs,
+        harness: cfg.harness,
         emit_json: cfg.emit_json,
         emit_path: cfg.emit_path,
         spec,
@@ -413,15 +365,17 @@ fn finish_explore(
 
 fn parse_snapshot(args: &[String]) -> Result<Command, CliError> {
     let mut cfg = SnapshotConfig {
-        scale: Scale::Smoke,
-        jobs: None,
+        harness: HarnessConfig {
+            scale: Scale::Smoke,
+            ..HarnessConfig::default()
+        },
         out: PathBuf::from("."),
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--scale" => cfg.scale = parse_scale(next_value(&mut it, "--scale")?)?,
-            "--jobs" => cfg.jobs = Some(parse_jobs(next_value(&mut it, "--jobs")?)?),
+            "--scale" => cfg.harness.scale = parse_scale(next_value(&mut it, "--scale")?)?,
+            "--jobs" => cfg.harness.jobs = parse_jobs(next_value(&mut it, "--jobs")?)?,
             "--out" => cfg.out = PathBuf::from(next_value(&mut it, "--out")?),
             _ => return Err(CliError::Usage),
         }
@@ -482,20 +436,25 @@ mod tests {
             "table4",
             "table1",
         ]);
-        assert_eq!(cfg.scale, Scale::Smoke);
-        assert_eq!(cfg.jobs, Some(4));
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig {
+                scale: Scale::Smoke,
+                jobs: 4,
+                retries: 2,
+                cell_budget: 1000,
+                cell_deadline: 250,
+                cancel_after: 5000,
+                fault: Some((0.25, 7)),
+                fuse: false,
+                pgo: true,
+            }
+        );
         assert_eq!(cfg.emit_json, Some(true));
         assert_eq!(cfg.emit_path, Some(PathBuf::from("out.jsonl")));
-        assert_eq!(cfg.retries, Some(2));
-        assert_eq!(cfg.cell_budget, Some(1000));
-        assert_eq!(cfg.cell_deadline, Some(250));
         assert_eq!(cfg.run_deadline, Some(60000));
-        assert_eq!(cfg.cancel_after, Some(5000));
-        assert_eq!(cfg.fault, Some((0.25, 7)));
         assert_eq!(cfg.journal, Some(PathBuf::from("j.jsonl")));
         assert!(cfg.resume);
-        assert!(cfg.no_fuse);
-        assert!(cfg.pgo);
         assert!(cfg.profile);
         assert_eq!(cfg.trace_out, Some(PathBuf::from("trace.json")));
         assert_eq!(cfg.experiments, vec!["table4", "table1"]);
@@ -514,10 +473,14 @@ mod tests {
             vec!["spin"],
             "spin is runnable by name"
         );
-        assert_eq!(cfg.scale, Scale::Default);
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig::default(),
+            "no flag: every harness setting at its default"
+        );
+        assert_eq!(cfg.harness.scale, Scale::Default);
+        assert!(!cfg.harness.pgo, "profile-guided fusion is opt-in");
         assert!(!cfg.resume);
-        assert!(!cfg.no_fuse, "fusion is on by default");
-        assert!(!cfg.pgo, "profile-guided fusion is opt-in");
         assert!(!cfg.profile, "self-profiling is off by default");
         assert_eq!(cfg.trace_out, None);
     }
@@ -626,8 +589,14 @@ mod tests {
         ])) else {
             panic!("explore invocation should parse");
         };
-        assert_eq!(cfg.scale, Scale::Smoke);
-        assert_eq!(cfg.jobs, Some(2));
+        assert_eq!(
+            cfg.harness,
+            HarnessConfig {
+                scale: Scale::Smoke,
+                jobs: 2,
+                ..HarnessConfig::default()
+            }
+        );
         assert_eq!(cfg.emit_json, Some(true));
         assert_eq!(cfg.emit_path, Some(PathBuf::from("x.jsonl")));
         assert_eq!(cfg.spec.schedules, 32);
@@ -717,7 +686,7 @@ mod tests {
         else {
             panic!("bench-snapshot should parse");
         };
-        assert_eq!(cfg.scale, Scale::Smoke);
+        assert_eq!(cfg.harness.scale, Scale::Smoke);
         assert_eq!(cfg.out, PathBuf::from("d"));
         assert!(matches!(
             parse(&argv(&["bench-snapshot", "--jobs", "0"])),

@@ -41,8 +41,8 @@ use isf_ir::Module;
 use isf_obs::Json;
 use isf_workloads::Workload;
 
-use crate::runner::{cell, par_cells_isolated, plan_for, split_results, CellError, Kinds};
-use crate::{write_errors, Scale};
+use crate::runner::{cell, par_cells_isolated, plan_for, split_results, CellError, Harness, Kinds};
+use crate::write_errors;
 
 /// Programs whose round-robin run has at most this many decision points
 /// also get a bounded exhaustive DFS over the schedule tree.
@@ -160,17 +160,18 @@ pub struct Explore {
     pub errors: Vec<CellError>,
 }
 
-/// Runs schedule exploration over `benches`, one isolated cell per
-/// benchmark.
-pub fn run(scale: Scale, spec: ExploreSpec, benches: &[String]) -> Explore {
+/// Runs schedule exploration over `benches` at the harness's scale, one
+/// isolated cell per benchmark.
+pub fn run(h: &Harness, spec: ExploreSpec, benches: &[String]) -> Explore {
     let workloads: Vec<Workload> = benches
         .iter()
         .map(|name| {
-            isf_workloads::by_name(name, scale)
+            isf_workloads::by_name(name, h.config().scale)
                 .unwrap_or_else(|| panic!("benchmark `{name}` was validated by the CLI"))
         })
         .collect();
     let results = par_cells_isolated(
+        h,
         workloads
             .iter()
             .map(|w| {
@@ -569,7 +570,11 @@ mod tests {
             schedules: 2,
             seed: 0xA5,
         };
-        let report = run(Scale::Smoke, spec, &["volano".to_owned(), "db".to_owned()]);
+        let report = run(
+            &crate::runner::smoke_harness(),
+            spec,
+            &["volano".to_owned(), "db".to_owned()],
+        );
         assert!(
             report.errors.is_empty(),
             "exploration failed: {:?}",

@@ -15,9 +15,9 @@ use isf_obs::Json;
 
 use crate::runner::{
     cell, instrument, overhead_pct, par_cells_journaled, plan_for, prepare_for_runs, prepare_suite,
-    run_module, run_prepared_module, split_results, CellError, JournalPayload, Kinds,
+    run_module, run_prepared_module, split_results, CellError, Harness, JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// The sample intervals of the path-profiling sweep.
 const PATH_INTERVALS: [u64; 4] = [1, 10, 100, 1_000];
@@ -127,10 +127,11 @@ pub struct Extras {
 /// Runs both extra experiments, one cell per benchmark: the benchmark's
 /// path-profiling interval series (averaged across the suite afterwards)
 /// plus its selective-instrumentation row.
-pub fn run(scale: Scale) -> Extras {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Extras {
+    let suite = prepare_suite(h);
 
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
@@ -141,19 +142,20 @@ pub fn run(scale: Scale) -> Extras {
                     let (exh, _) =
                         instrument_module(&b.module, &plan, &Options::new(Strategy::Exhaustive))
                             .expect("valid options");
-                    let perfect = run_module(&exh, Trigger::Never).profile;
+                    let perfect = run_module(h, &exh, Trigger::Never).profile;
                     let (full, _) = instrument_module(
                         &b.module,
                         &plan,
                         &Options::new(Strategy::FullDuplication),
                     )
                     .expect("valid options");
-                    let prepared = prepare_for_runs(&full);
+                    let prepared = prepare_for_runs(h, &full);
                     let baseline_cycles = b.baseline.cycles as f64;
                     let path: Vec<PathMeas> = PATH_INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o =
+                                run_prepared_module(h, &prepared, Trigger::Counter { interval });
                             PathMeas {
                                 total: (o.cycles as f64 - baseline_cycles) / baseline_cycles
                                     * 100.0,
@@ -170,9 +172,9 @@ pub fn run(scale: Scale) -> Extras {
                         &Options::new(Strategy::FullDuplication),
                     );
                     // One decode serves the scout and measurement runs.
-                    let prepared_all = prepare_for_runs(&all);
+                    let prepared_all = prepare_for_runs(h, &all);
                     let scout =
-                        run_prepared_module(&prepared_all, Trigger::Counter { interval: 13 });
+                        run_prepared_module(h, &prepared_all, Trigger::Counter { interval: 13 });
                     let mut hot: HashSet<_> = hotness::functions_covering(&scout.profile, 0.9)
                         .into_iter()
                         .collect();
@@ -191,8 +193,8 @@ pub fn run(scale: Scale) -> Extras {
                     )
                     .expect("valid options");
                     let o_all =
-                        run_prepared_module(&prepared_all, Trigger::Counter { interval: 499 });
-                    let o_sel = run_module(&sel, Trigger::Counter { interval: 499 });
+                        run_prepared_module(h, &prepared_all, Trigger::Counter { interval: 499 });
+                    let o_sel = run_module(h, &sel, Trigger::Counter { interval: 499 });
                     let selective = SelectiveRow {
                         bench: b.name,
                         all_methods: overhead_pct(&o_all, &b.baseline),
@@ -316,7 +318,7 @@ mod tests {
 
     #[test]
     fn extras_shapes_hold() {
-        let e = run(Scale::Smoke);
+        let e = run(&crate::runner::smoke_harness());
         // Path profiling: interval 1 is perfect; accuracy decays with the
         // interval; overhead decreases.
         assert!(e.path_rows[0].accuracy > 99.9);

@@ -15,9 +15,9 @@ use isf_obs::Json;
 
 use crate::runner::{
     cell, instrument, overhead_pct, par_cells_journaled, prepare_for_runs, prepare_suite,
-    run_module, run_prepared_module, split_results, CellError, JournalPayload, Kinds,
+    run_module, run_prepared_module, split_results, CellError, Harness, JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// One row of part (A).
 #[derive(Clone, Debug)]
@@ -90,24 +90,25 @@ fn yieldpoint_options() -> Options {
 /// Runs both parts, one cell per benchmark: part (A)'s two framework
 /// measurements plus the benchmark's part (B) interval series, which is
 /// averaged across benchmarks afterwards.
-pub fn run(scale: Scale) -> Fig8 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Fig8 {
+    let suite = prepare_suite(h);
 
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("fig8/{}", b.name), move || {
                     let (opt, _, _) = instrument(&b.module, Kinds::None, &yieldpoint_options());
-                    let framework = overhead_pct(&run_module(&opt, Trigger::Never), &b.baseline);
+                    let framework = overhead_pct(&run_module(h, &opt, Trigger::Never), &b.baseline);
                     let (plain, _, _) = instrument(
                         &b.module,
                         Kinds::None,
                         &Options::new(Strategy::FullDuplication),
                     );
                     let unoptimized =
-                        overhead_pct(&run_module(&plain, Trigger::Never), &b.baseline);
+                        overhead_pct(&run_module(h, &plain, Trigger::Never), &b.baseline);
                     let row_a = RowA {
                         bench: b.name,
                         framework,
@@ -115,12 +116,13 @@ pub fn run(scale: Scale) -> Fig8 {
                     };
 
                     let (m, _, _) = instrument(&b.module, Kinds::Both, &yieldpoint_options());
-                    let prepared = prepare_for_runs(&m);
+                    let prepared = prepare_for_runs(h, &m);
                     let baseline = b.baseline.cycles as f64;
                     let totals: Vec<f64> = crate::table4::INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o =
+                                run_prepared_module(h, &prepared, Trigger::Counter { interval });
                             (o.cycles as f64 - baseline) / baseline * 100.0
                         })
                         .collect();
@@ -231,7 +233,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let fig = run(Scale::Smoke);
+        let fig = run(&crate::runner::smoke_harness());
         assert_eq!(fig.rows_a.len(), 10);
         // The optimization pays: optimized average well below unoptimized.
         assert!(

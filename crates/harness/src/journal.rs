@@ -601,6 +601,9 @@ pub fn append(
 mod tests {
     use super::*;
 
+    /// Serializes tests that attach the process-wide journal.
+    static JOURNAL_TEST_LOCK: Mutex<()> = Mutex::new(());
+
     fn inputs() -> RunInputs {
         RunInputs {
             version: "1.2.3".to_owned(),
@@ -671,7 +674,7 @@ mod tests {
 
     #[test]
     fn round_trip_through_a_real_file() {
-        let _guard = crate::runner::JOBS_TEST_LOCK.lock().unwrap();
+        let _guard = JOURNAL_TEST_LOCK.lock().unwrap();
         let path = temp_path("roundtrip");
         start_fresh(&path, &inputs()).expect("start fresh");
         assert!(is_active());
@@ -703,7 +706,7 @@ mod tests {
 
     #[test]
     fn truncated_tail_is_dropped_and_the_prefix_survives() {
-        let _guard = crate::runner::JOBS_TEST_LOCK.lock().unwrap();
+        let _guard = JOURNAL_TEST_LOCK.lock().unwrap();
         let path = temp_path("truncate");
         start_fresh(&path, &inputs()).expect("start fresh");
         let cell = Json::obj([("type", "cell".into())]);
@@ -731,7 +734,7 @@ mod tests {
 
     #[test]
     fn stale_journal_is_refused_with_named_fields() {
-        let _guard = crate::runner::JOBS_TEST_LOCK.lock().unwrap();
+        let _guard = JOURNAL_TEST_LOCK.lock().unwrap();
         let path = temp_path("stale");
         start_fresh(&path, &inputs()).expect("start fresh");
         deactivate();

@@ -1,7 +1,8 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation (§4).
 //!
-//! One module per experiment, each with a `run(scale)` entry point
+//! One module per experiment, each with a `run(&Harness)` entry point
+//! (the [`runner::Harness`] carries the scale and every other setting)
 //! returning a typed result that knows how to print itself in the paper's
 //! layout:
 //!

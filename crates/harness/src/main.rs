@@ -18,8 +18,14 @@
 //! experiments: table1 table2 table3 table4 table5 fig7 fig8 extras all
 //! ```
 //!
-//! Experiment cells run on `N` worker threads (default: `ISF_JOBS` or the
-//! machine's available parallelism). The VM is deterministic, so the
+//! Every harness setting comes from a flag: `cli::parse` folds them into
+//! one `HarnessConfig` value, and each invocation runs under its own
+//! `Harness` built from it. Only the `isf-exec` fusion default
+//! (`ISF_FUSE`) and the `isf-obs` output controls (`ISF_LOG`, `ISF_EMIT`,
+//! `ISF_EMIT_REDACT_WALL`) read the environment.
+//!
+//! Experiment cells run on `N` worker threads (default: the machine's
+//! available parallelism). The VM is deterministic, so the
 //! tables on stdout are byte-identical for every job count; per-cell
 //! statistics go to stderr through the leveled logger
 //! (`ISF_LOG=off|cells|debug`).
@@ -32,13 +38,13 @@
 //! wall-clock fields are redacted (`ISF_EMIT_REDACT_WALL=1`); see
 //! `schemas/harness-jsonl.schema.json` for the record contract.
 //!
-//! With `--journal FILE` (or `ISF_JOURNAL`) every finished cell is
+//! With `--journal FILE` every finished cell is
 //! appended to a crash-safe journal; SIGINT/SIGTERM drain in-flight cells
 //! and exit with code 75 (resumable), and `--resume` replays the journal
 //! so the completed run's stdout and JSONL are byte-identical to an
 //! uninterrupted run's.
 //!
-//! With `--cell-deadline MS` (or `ISF_CELL_DEADLINE`) a watchdog thread
+//! With `--cell-deadline MS` a watchdog thread
 //! cooperatively cancels any cell attempt that runs longer than `MS`
 //! wall-clock milliseconds; the cell is annotated (`!!`, a `deadline`
 //! error record) while its siblings complete, and the run exits 75.
@@ -46,7 +52,7 @@
 //! stops claiming new cells, drains in-flight ones through the same
 //! machinery as SIGINT, and exits 75 — with `--journal`, a later
 //! `--resume` picks up exactly where the deadline stopped it.
-//! `--cancel-after-cycles CYCLES` (or `ISF_CANCEL_AFTER`) cancels every
+//! `--cancel-after-cycles CYCLES` cancels every
 //! cell run at a fixed *simulated* cycle instead — deterministic, so
 //! tests can exercise the deadline plumbing byte-reproducibly.
 //!
@@ -56,7 +62,7 @@
 //! so the flag exists for ablation measurements and the CI equivalence
 //! diff, not for correctness.
 //!
-//! With `--pgo` (or `ISF_PGO=1`) the preparation cache serves each module
+//! With `--pgo` the preparation cache serves each module
 //! through a warmup-then-reprepare flow: a short profiling cell runs the
 //! statically fused form, its folded profile is distilled into fusion
 //! guidance, and the module is re-prepared with guided superinstructions
@@ -64,7 +70,7 @@
 //! Observable results are byte-identical to a statically-fused (or
 //! unfused) run; only fusion coverage moves.
 //!
-//! With `--profile` (or `ISF_PROFILE=1`) the VM self-profiles: engines
+//! With `--profile` the VM self-profiles: engines
 //! run through the per-opcode `ProfileSink`, dispatch/cycle attribution
 //! and trigger gap histograms land in the metrics registry, a
 //! fusion-coverage report prints to stderr, and the JSONL stream gains a
@@ -86,13 +92,13 @@
 //! deterministically; `--emit json` adds one `explore` record per
 //! benchmark.
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use isf_harness::cli::{self, CliError, Command, ExploreConfig, RunConfig, SnapshotConfig};
+use isf_harness::runner::{self, Harness};
 use isf_harness::{
-    explore, extras, fig7, fig8, journal, jsonl, runner, snapshot, spin, table1, table2, table3,
-    table4, table5,
+    explore, extras, fig7, fig8, journal, jsonl, snapshot, spin, table1, table2, table3, table4,
+    table5,
 };
 use isf_obs::{emit, log, metrics, span, Json};
 
@@ -148,10 +154,10 @@ fn emit_phases(experiment: &str) {
 /// through fused superinstructions. Goes to stderr (never stdout, which
 /// must stay byte-identical to a profiling-disabled run) and into the
 /// metrics registry as `fusion.<bench>.*` counters.
-fn report_fusion_coverage(scale: isf_harness::Scale) {
+fn report_fusion_coverage(h: &Harness) {
     log::cells("[profile] fusion coverage (dynamic instructions executed fused):");
-    for c in runner::fusion_coverage(scale) {
-        if runner::pgo() {
+    for c in runner::fusion_coverage(h) {
+        if h.config().pgo {
             log::cells(&format!(
                 "[profile]   {:<10} {:>5.1}%  ({} / {} instructions, {} guided = {:.1}%)",
                 c.name,
@@ -175,8 +181,8 @@ fn report_fusion_coverage(scale: isf_harness::Scale) {
 /// and `span-summary` records to the JSONL stream when profiling is
 /// enabled. Entirely a no-op when neither profiling nor tracing was
 /// requested, so default runs stay byte-identical.
-fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode> {
-    if !profiling && cfg.trace_out.is_none() {
+fn finish_observability(cfg: &RunConfig) -> Result<(), ExitCode> {
+    if !cfg.profile && cfg.trace_out.is_none() {
         return Ok(());
     }
     let events = span::take_events();
@@ -192,7 +198,7 @@ fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode
             path.display()
         ));
     }
-    if profiling && emit::enabled() {
+    if cfg.profile && emit::enabled() {
         emit::record(&metrics::snapshot().to_json());
         emit::record(&span::summary_record(&span::summarize(&events)));
     }
@@ -200,10 +206,7 @@ fn finish_observability(cfg: &RunConfig, profiling: bool) -> Result<(), ExitCode
 }
 
 fn bench_snapshot(cfg: &SnapshotConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
-    }
-    match snapshot::write(cfg.scale, &cfg.out) {
+    match snapshot::write(&Harness::new(cfg.harness.clone()), &cfg.out) {
         Ok(path) => {
             log::cells(&format!("wrote {}", path.display()));
             ExitCode::SUCCESS
@@ -235,33 +238,26 @@ fn validate_jsonl(path: &str) -> ExitCode {
     }
 }
 
-/// Attaches the cell journal when one is configured (`--journal` or
-/// `ISF_JOURNAL`): fresh for a normal run, replaying for `--resume`.
-/// Returns an error message when the run must not proceed.
+/// Attaches the cell journal when one is configured (`--journal`): fresh
+/// for a normal run, replaying for `--resume`. Returns an error message
+/// when the run must not proceed.
 fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
-    let journal_path = cfg.journal.clone().or_else(|| {
-        std::env::var("ISF_JOURNAL")
-            .ok()
-            .map(|s| s.trim().to_owned())
-            .filter(|s| !s.is_empty())
-            .map(PathBuf::from)
-    });
-    let Some(path) = journal_path else {
+    let Some(path) = &cfg.journal else {
         if cfg.resume {
-            return Err("--resume needs a journal: pass --journal FILE or set ISF_JOURNAL".into());
+            return Err("--resume needs a journal: pass --journal FILE".into());
         }
         return Ok(());
     };
-    let inputs = runner::run_inputs(cfg.scale, &cfg.experiments);
+    let inputs = runner::run_inputs(&cfg.harness, &cfg.experiments);
     if cfg.resume {
-        let replayable = journal::open_resume(&path, &inputs)
+        let replayable = journal::open_resume(path, &inputs)
             .map_err(|e| format!("cannot resume from {}: {e}", path.display()))?;
         log::cells(&format!(
             "[journal] resuming from {}: {replayable} finished cell(s) will be replayed",
             path.display()
         ));
     } else {
-        journal::start_fresh(&path, &inputs)
+        journal::start_fresh(path, &inputs)
             .map_err(|e| format!("cannot start journal {}: {e}", path.display()))?;
     }
     install_drain_handlers();
@@ -274,9 +270,6 @@ fn attach_journal(cfg: &RunConfig) -> Result<(), String> {
 /// `!!` annotation and `error` record carry the seed and trace that
 /// reproduce the failing schedule.
 fn run_explore(cfg: &ExploreConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
-    }
     if let Some(json) = cfg.emit_json {
         emit::set_mode(if json {
             emit::EmitMode::Json
@@ -291,14 +284,14 @@ fn run_explore(cfg: &ExploreConfig) -> ExitCode {
         emit::record(&Json::obj([
             ("type", "meta".into()),
             ("schema", "isf-harness-jsonl/1".into()),
-            ("scale", snapshot::scale_name(cfg.scale).into()),
+            ("scale", snapshot::scale_name(cfg.harness.scale).into()),
             (
                 "experiments",
                 Json::Arr(cfg.benches.iter().map(|e| e.as_str().into()).collect()),
             ),
         ]));
     }
-    let report = explore::run(cfg.scale, cfg.spec, &cfg.benches);
+    let report = explore::run(&Harness::new(cfg.harness.clone()), cfg.spec, &cfg.benches);
     if report_to_stdout {
         println!("{report}");
     }
@@ -328,38 +321,15 @@ fn run_explore(cfg: &ExploreConfig) -> ExitCode {
 }
 
 fn run(cfg: &RunConfig) -> ExitCode {
-    if let Some(n) = cfg.jobs {
-        runner::set_jobs(n);
+    let h = Harness::new(cfg.harness.clone());
+    // The metrics registry's gate is the single source of truth for
+    // self-profiling: it switches runs onto the profiled engine, makes
+    // the preparation cache count hits and misses, and unlocks the
+    // `metrics` record and summary cache fields.
+    if cfg.profile {
+        metrics::set_enabled(true);
     }
-    if let Some(n) = cfg.retries {
-        runner::set_retries(n);
-    }
-    if let Some(n) = cfg.cell_budget {
-        runner::set_cell_budget(n);
-    }
-    if let Some(ms) = cfg.cell_deadline {
-        runner::set_cell_deadline(ms);
-    }
-    if let Some(n) = cfg.cancel_after {
-        runner::set_cancel_after(n);
-    }
-    if let Some((p, seed)) = cfg.fault {
-        runner::set_fault_injection(p, seed);
-    }
-    if cfg.no_fuse {
-        isf_exec::set_fuse_mode(Some(isf_exec::FuseMode::Off));
-    }
-    if cfg.pgo {
-        runner::set_pgo(true);
-    }
-    let profiling = cfg.profile
-        || std::env::var("ISF_PROFILE")
-            .map(|v| v.trim() == "1")
-            .unwrap_or(false);
-    if profiling {
-        runner::set_profiling(true);
-    }
-    if profiling || cfg.trace_out.is_some() {
+    if cfg.profile || cfg.trace_out.is_some() {
         span::set_enabled(true);
     }
     if let Some(json) = cfg.emit_json {
@@ -396,7 +366,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         let mut meta: Vec<(&'static str, Json)> = vec![
             ("type", "meta".into()),
             ("schema", "isf-harness-jsonl/1".into()),
-            ("scale", snapshot::scale_name(cfg.scale).into()),
+            ("scale", snapshot::scale_name(cfg.harness.scale).into()),
             (
                 "experiments",
                 Json::Arr(cfg.experiments.iter().map(|e| e.as_str().into()).collect()),
@@ -418,7 +388,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         let _experiment_span = span::begin("experiment", e.as_str());
         macro_rules! experiment {
             ($module:ident) => {{
-                let t = $module::run(cfg.scale);
+                let t = $module::run(&h);
                 if tables_to_stdout {
                     println!("{t}");
                 }
@@ -444,10 +414,10 @@ fn run(cfg: &RunConfig) -> ExitCode {
     }
     drop(run_span);
 
-    if profiling {
-        report_fusion_coverage(cfg.scale);
+    if cfg.profile {
+        report_fusion_coverage(&h);
     }
-    if let Err(code) = finish_observability(cfg, profiling) {
+    if let Err(code) = finish_observability(cfg) {
         return code;
     }
 
@@ -464,7 +434,7 @@ fn run(cfg: &RunConfig) -> ExitCode {
         }
     }
     journal::deactivate();
-    if runner::deadline_hit() {
+    if h.deadline_hit() {
         // The run *completed* — every cell ran or was cancelled, tables
         // and JSONL were written — but at least one fresh cell was lost
         // to the deadline, so signal resumable like an interrupted run.

@@ -4,15 +4,19 @@
 //!
 //! Experiments decompose into independent *cells*, one (benchmark ×
 //! configuration) unit of work each, executed by [`par_cells`] on a scoped
-//! worker pool of [`jobs`] threads. The VM is deterministic and every cell
-//! is a pure function of its inputs, so a parallel run produces the same
-//! rows, bit for bit, as a serial one; results come back in submission
+//! worker pool of [`HarnessConfig::jobs`] threads. The VM is deterministic
+//! and every cell is a pure function of its inputs, so a parallel run
+//! produces the same rows, bit for bit, as a serial one; results come back in submission
 //! order, so table output never depends on the schedule. Per-cell
 //! statistics (simulated cycles, wall time, effective simulated MIPS) go
 //! to stderr through the leveled [`isf_obs::log`] emitter
 //! (`ISF_LOG=off|cells|debug`), keeping stdout byte-identical across job
 //! counts; with `ISF_EMIT=json` the same metrics are also captured as
 //! machine-readable JSONL records, emitted in submission order.
+//!
+//! Everything a cell runs under comes from one [`Harness`]: its
+//! [`HarnessConfig`] (scale, jobs, retries, budgets, deadlines, fault
+//! injection, fusion, PGO) and the preparation cache its cells share.
 //!
 //! Cells that run one module several times (interval sweeps, trigger
 //! comparisons) pre-decode it once with [`prepare_for_runs`] and replay
@@ -21,7 +25,7 @@
 
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -38,250 +42,148 @@ use isf_workloads::{suite, Scale, Workload};
 use crate::journal;
 
 // ---------------------------------------------------------------------
-// Worker-pool control.
+// Harness configuration.
 // ---------------------------------------------------------------------
 
-static JOBS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Sets the number of worker threads experiment cells run on (`0` clears
-/// the override and restores the default resolution).
-pub fn set_jobs(n: usize) {
-    JOBS_OVERRIDE.store(n, Ordering::Relaxed);
+/// Every setting that shapes how one harness invocation runs its cells,
+/// as one plain value. [`crate::cli::parse`] builds it from the flags; a
+/// [`Harness`] carries it to every cell. No field is read from the
+/// environment, except that fusion defaults to [`isf_exec::fuse_mode`]
+/// (`ISF_FUSE`).
+#[derive(Clone, Debug, PartialEq)]
+pub struct HarnessConfig {
+    /// Workload scale (`--scale`).
+    pub scale: Scale,
+    /// Worker threads experiment cells run on (`--jobs`; default: the
+    /// machine's available parallelism).
+    pub jobs: usize,
+    /// How many times a panicked or deadlined cell is re-run before its
+    /// failure is recorded (`--retries`). Traps and budget exhaustion are
+    /// deterministic properties of the program and are never retried.
+    pub retries: usize,
+    /// Per-cell simulated-cycle cap (`--cell-budget`; `0` = uncapped). A
+    /// run that exceeds it traps with fuel exhaustion and the cell is
+    /// recorded as [`CellResult::Budget`].
+    pub cell_budget: u64,
+    /// Per-cell wall-clock deadline in milliseconds (`--cell-deadline`;
+    /// `0` = off). Each cell attempt that exceeds it is cooperatively
+    /// cancelled by the watchdog and recorded as [`CellResult::Deadline`].
+    /// Unlike the cycle budget it is *not* part of the journal
+    /// fingerprint: it bounds how long a run waits, not what a cell
+    /// computes.
+    pub cell_deadline: u64,
+    /// Deterministic cancellation point (`--cancel-after-cycles`; `0` =
+    /// off): every cell run is cancelled at exactly the charge that takes
+    /// the simulated clock past this cycle count — the byte-reproducible
+    /// stand-in for the wall-clock deadline. It changes what cells
+    /// compute, so [`run_inputs`] fingerprints it.
+    pub cancel_after: u64,
+    /// Deterministic fault injection (`--fault-inject`): probability and
+    /// seed. Each cell attempt is hashed with the seed, and a hash below
+    /// the probability makes the cell panic or trap before its work runs.
+    pub fault: Option<(f64, u64)>,
+    /// Superinstruction fusion (`--no-fuse` turns it off). Observably
+    /// equivalent either way.
+    pub fuse: bool,
+    /// Profile-guided preparation (`--pgo`): [`cached_prepare`] serves
+    /// each fused module through a warmup-then-reprepare flow — a short
+    /// profiled warmup run, then a re-preparation under
+    /// [`FuseMode::Guided`]. Observably equivalent to a statically fused
+    /// run.
+    pub pgo: bool,
 }
 
-/// The number of worker threads experiment cells run on: the [`set_jobs`]
-/// override if one is set, else the `ISF_JOBS` environment variable, else
-/// the machine's available parallelism.
-pub fn jobs() -> usize {
-    let n = JOBS_OVERRIDE.load(Ordering::Relaxed);
-    if n > 0 {
-        return n;
-    }
-    if let Some(n) = std::env::var("ISF_JOBS")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Serializes tests that mutate the global jobs override.
-#[cfg(test)]
-pub(crate) static JOBS_TEST_LOCK: Mutex<()> = Mutex::new(());
-
-// ---------------------------------------------------------------------
-// Self-profiling control.
-// ---------------------------------------------------------------------
-
-/// Turns VM self-profiling on or off (`--profile` / `ISF_PROFILE=1`).
-///
-/// The metrics registry's gate is the single source of truth: enabling it
-/// switches [`run_prepared_module`] onto the profiled engine entry point,
-/// makes [`cached_prepare`]'s hit/miss counters record, and unlocks the
-/// `metrics` JSONL record and summary cache fields. Disabled (the
-/// default), every output byte is identical to a run without the
-/// subsystem.
-pub fn set_profiling(on: bool) {
-    metrics::set_enabled(on);
-}
-
-/// Whether VM self-profiling is enabled.
-pub fn profiling() -> bool {
-    metrics::enabled()
-}
-
-// ---------------------------------------------------------------------
-// Profile-guided preparation control.
-// ---------------------------------------------------------------------
-
-static PGO_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-static PGO_EPOCH: AtomicU64 = AtomicU64::new(0);
-
-/// Turns the warmup-then-reprepare flow on or off (`--pgo` / `ISF_PGO=1`).
-///
-/// With PGO on, [`cached_prepare`] serves each fused module through a
-/// profile-guided preparation: a short warmup cell runs the statically
-/// fused form under the profiled engine, the folded [`OpProfile`] is
-/// distilled into a [`FuseGuidance`], and the module is re-prepared under
-/// [`FuseMode::Guided`]. Guided entries live under their own cache keys
-/// (the fingerprint grows a profile epoch), so PGO and non-PGO cells
-/// coexist in the shared cache without evicting each other. Enabling PGO
-/// bumps the epoch: a new `--pgo` invocation re-warms rather than
-/// trusting guided forms from an earlier configuration.
-pub fn set_pgo(on: bool) {
-    if on {
-        PGO_EPOCH.fetch_add(1, Ordering::Relaxed);
-    }
-    PGO_OVERRIDE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether profile-guided preparation is enabled: the [`set_pgo`] override
-/// if one was set, else the `ISF_PGO` environment variable.
-pub fn pgo() -> bool {
-    match PGO_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                matches!(
-                    std::env::var("ISF_PGO").ok().as_deref(),
-                    Some("1") | Some("on") | Some("true")
-                )
-            })
+impl Default for HarnessConfig {
+    fn default() -> Self {
+        HarnessConfig {
+            scale: Scale::Default,
+            jobs: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            retries: 0,
+            cell_budget: 0,
+            cell_deadline: 0,
+            cancel_after: 0,
+            fault: None,
+            fuse: fuse_mode() != FuseMode::Off,
+            pgo: false,
         }
     }
 }
 
-fn pgo_epoch() -> u64 {
-    PGO_EPOCH.load(Ordering::Relaxed)
-}
-
-// ---------------------------------------------------------------------
-// Fault-tolerance configuration (retries, cell budget, fault injection).
-// ---------------------------------------------------------------------
-
-/// `usize::MAX` means "no override; consult `ISF_RETRIES`".
-static RETRIES_OVERRIDE: AtomicUsize = AtomicUsize::new(usize::MAX);
-
-/// Sets how many times a panicked cell is re-run before its failure is
-/// recorded (`--retries`). Pass `usize::MAX` to clear the override.
-pub fn set_retries(n: usize) {
-    RETRIES_OVERRIDE.store(n, Ordering::Relaxed);
-}
-
-/// Bounded retry count for panicked cells: the [`set_retries`] override if
-/// set, else `ISF_RETRIES`, else `0`. Traps and budget exhaustion are
-/// deterministic properties of the program and are never retried.
-pub fn retries() -> usize {
-    let n = RETRIES_OVERRIDE.load(Ordering::Relaxed);
-    if n != usize::MAX {
-        return n;
+impl HarnessConfig {
+    /// The execution limits every harness run gets: the cell budget as
+    /// execution fuel when one is configured, unlimited otherwise.
+    fn limits(&self) -> ExecLimits {
+        match self.cell_budget {
+            0 => ExecLimits::default(),
+            cycles => ExecLimits::cycles(cycles),
+        }
     }
-    std::env::var("ISF_RETRIES")
-        .ok()
-        .and_then(|s| s.trim().parse::<usize>().ok())
-        .unwrap_or(0)
-}
 
-/// `u64::MAX` means "no override; consult `ISF_CELL_BUDGET`".
-static CELL_BUDGET_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the per-cell simulated-cycle cap applied to every harness run
-/// (`--cell-budget`; `0` disables the cap). Pass `u64::MAX` to clear the
-/// override.
-pub fn set_cell_budget(cycles: u64) {
-    CELL_BUDGET_OVERRIDE.store(cycles, Ordering::Relaxed);
-}
-
-/// The per-cell simulated-cycle cap: the [`set_cell_budget`] override if
-/// set, else `ISF_CELL_BUDGET`, else `0` (uncapped). A run that exceeds it
-/// traps with fuel exhaustion and the cell is recorded as
-/// [`CellResult::Budget`].
-pub fn cell_budget() -> u64 {
-    let n = CELL_BUDGET_OVERRIDE.load(Ordering::Relaxed);
-    if n != u64::MAX {
-        return n;
-    }
-    std::env::var("ISF_CELL_BUDGET")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0)
-}
-
-/// The execution limits every harness run gets: the cell budget as
-/// execution fuel when one is configured, unlimited otherwise.
-fn harness_limits() -> ExecLimits {
-    match cell_budget() {
-        0 => ExecLimits::default(),
-        cycles => ExecLimits::cycles(cycles),
+    /// The deterministic cancellation point, if one is configured.
+    fn cancel_point(&self) -> Option<u64> {
+        (self.cancel_after > 0).then_some(self.cancel_after)
     }
 }
 
-/// `u64::MAX` means "no override; consult `ISF_CELL_DEADLINE`".
-static CELL_DEADLINE_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the per-cell wall-clock deadline in milliseconds
-/// (`--cell-deadline`; `0` disables it). Pass `u64::MAX` to clear the
-/// override.
-pub fn set_cell_deadline(ms: u64) {
-    CELL_DEADLINE_OVERRIDE.store(ms, Ordering::Relaxed);
+/// One harness invocation: its [`HarnessConfig`] plus the state its cells
+/// share — the preparation cache and whether a fresh cell hit its
+/// deadline. `main` builds one per run and every experiment takes it by
+/// reference, so two harnesses in one process never see each other's
+/// settings.
+pub struct Harness {
+    config: HarnessConfig,
+    prep_cache: Mutex<HashMap<u64, PrepSlot>>,
+    deadline_hit: AtomicBool,
 }
 
-/// The per-cell wall-clock deadline in milliseconds: the
-/// [`set_cell_deadline`] override if set, else `ISF_CELL_DEADLINE`, else
-/// `0` (off). Each cell attempt that exceeds it is cooperatively
-/// cancelled by the watchdog and recorded as [`CellResult::Deadline`].
-/// Unlike the cycle budget, the deadline is *not* part of the journal
-/// fingerprint: it bounds how long a run waits, not what a cell computes.
-pub fn cell_deadline() -> u64 {
-    let n = CELL_DEADLINE_OVERRIDE.load(Ordering::Relaxed);
-    if n != u64::MAX {
-        return n;
+impl Harness {
+    /// A harness running under `config`, with an empty preparation cache.
+    #[must_use]
+    pub fn new(config: HarnessConfig) -> Harness {
+        Harness {
+            config,
+            prep_cache: Mutex::default(),
+            deadline_hit: AtomicBool::new(false),
+        }
     }
-    std::env::var("ISF_CELL_DEADLINE")
-        .ok()
-        .and_then(|s| s.trim().parse::<u64>().ok())
-        .unwrap_or(0)
+
+    /// The configuration this harness runs under.
+    #[must_use]
+    pub fn config(&self) -> &HarnessConfig {
+        &self.config
+    }
+
+    /// Whether any *fresh* (non-replayed) cell run hit the wall-clock
+    /// deadline. A run that deadlined somewhere finishes its remaining
+    /// cells and its output, then exits with [`journal::RESUMABLE_EXIT`]
+    /// so callers can tell a truncated-by-deadline run from a clean one.
+    #[must_use]
+    pub fn deadline_hit(&self) -> bool {
+        self.deadline_hit.load(Ordering::Relaxed)
+    }
 }
 
-/// `u64::MAX` means "no override; consult `ISF_CANCEL_AFTER`".
-static CANCEL_AFTER_OVERRIDE: AtomicU64 = AtomicU64::new(u64::MAX);
-
-/// Sets the deterministic cancellation point (`--cancel-after-cycles`;
-/// `0` disables it): every cell run is cancelled at exactly the charge
-/// that takes the simulated clock past this cycle count. Pass `u64::MAX`
-/// to clear the override.
-pub fn set_cancel_after(cycles: u64) {
-    CANCEL_AFTER_OVERRIDE.store(cycles, Ordering::Relaxed);
+/// A smoke-scale harness with every other setting at its default.
+#[cfg(test)]
+pub(crate) fn smoke_harness() -> Harness {
+    smoke_harness_with(|_| {})
 }
 
-/// The deterministic cancellation point, if one is configured: the
-/// [`set_cancel_after`] override if set, else `ISF_CANCEL_AFTER`, else
-/// none. This is the testable stand-in for the wall-clock deadline —
-/// cancellation lands at the same simulated cycle on every run and every
-/// job count, so deadline plumbing can be exercised byte-reproducibly.
-/// Because it changes what cells compute, it *is* folded into the
-/// journal fingerprint (via the `vm_config` component of
-/// [`run_inputs`]), unlike the wall-clock deadline.
-pub fn cancel_after() -> Option<u64> {
-    let n = CANCEL_AFTER_OVERRIDE.load(Ordering::Relaxed);
-    let n = if n != u64::MAX {
-        n
-    } else {
-        std::env::var("ISF_CANCEL_AFTER")
-            .ok()
-            .and_then(|s| s.trim().parse::<u64>().ok())
-            .unwrap_or(0)
+/// A smoke-scale harness whose default config `adjust` has changed.
+#[cfg(test)]
+pub(crate) fn smoke_harness_with(adjust: impl FnOnce(&mut HarnessConfig)) -> Harness {
+    let mut config = HarnessConfig {
+        scale: Scale::Smoke,
+        ..HarnessConfig::default()
     };
-    (n > 0).then_some(n)
+    adjust(&mut config);
+    Harness::new(config)
 }
 
-/// Whether any *fresh* (non-replayed) cell run hit the wall-clock
-/// deadline this process. The harness consults this at exit: a run that
-/// deadlined somewhere finishes its remaining cells and its output, then
-/// exits with [`journal::RESUMABLE_EXIT`] so callers can tell a
-/// truncated-by-deadline run from a clean one.
-static DEADLINE_HIT: AtomicBool = AtomicBool::new(false);
-
-/// Whether a fresh cell result was a deadline cancellation.
-pub fn deadline_hit() -> bool {
-    DEADLINE_HIT.load(Ordering::Relaxed)
-}
-
-/// Fault-injection probability as `f64` bits (`0.0` = off) and seed.
-static FAULT_PROB_BITS: AtomicU64 = AtomicU64::new(0);
-static FAULT_SEED: AtomicU64 = AtomicU64::new(0);
-
-/// Configures deterministic fault injection (`--fault-inject`): each cell
-/// attempt is hashed with `seed`, and a hash below `p` makes the cell
-/// panic or trap before its work runs. `p = 0.0` disables injection.
-pub fn set_fault_injection(p: f64, seed: u64) {
-    FAULT_PROB_BITS.store(p.clamp(0.0, 1.0).to_bits(), Ordering::Relaxed);
-    FAULT_SEED.store(seed, Ordering::Relaxed);
-}
+/// Serializes tests that touch an `isf-obs` global (the metrics registry
+/// or the emitter).
+#[cfg(test)]
+pub(crate) static OBS_TEST_LOCK: Mutex<()> = Mutex::new(());
 
 /// Parses a `--fault-inject` spec of the form `p=<prob>,seed=<s>` (the
 /// seed is optional and defaults to 0).
@@ -314,43 +216,33 @@ pub fn parse_fault_spec(spec: &str) -> Result<(f64, u64), String> {
     Ok((p, seed))
 }
 
-/// The configured fault injection as raw state: probability as `f64` bits
-/// and the seed. Part of the journal fingerprint — injected failures are
-/// deterministic in these, so a journal is only reusable when they match.
-pub fn fault_injection() -> (u64, u64) {
-    (
-        FAULT_PROB_BITS.load(Ordering::Relaxed),
-        FAULT_SEED.load(Ordering::Relaxed),
-    )
-}
-
-/// Snapshot of every input that determines cell results under the current
-/// configuration — what the cell journal fingerprints. The job count is
-/// deliberately excluded: cells are schedule-independent, so a journal
-/// written with `--jobs 4` resumes correctly under `--jobs 1` and vice
-/// versa.
-pub fn run_inputs(scale: Scale, experiments: &[String]) -> journal::RunInputs {
-    let (fault_prob_bits, fault_seed) = fault_injection();
+/// Snapshot of every input that determines cell results under `cfg` —
+/// what the cell journal fingerprints. The job count is deliberately
+/// excluded: cells are schedule-independent, so a journal written with
+/// `--jobs 4` resumes correctly under `--jobs 1` and vice versa. Fusion
+/// and PGO are excluded too: both are observably equivalent.
+pub fn run_inputs(cfg: &HarnessConfig, experiments: &[String]) -> journal::RunInputs {
+    let (fault_prob, fault_seed) = cfg.fault.unwrap_or((0.0, 0));
     let base_config = VmConfig {
         trigger: Trigger::Never,
-        limits: harness_limits(),
+        limits: cfg.limits(),
         ..VmConfig::default()
     };
     // The deterministic cancellation point changes what cells compute,
     // so it rides in the `vm_config` component of the fingerprint; the
     // wall-clock deadline does not (it bounds waiting, not results), so
     // a journal written under one deadline resumes under any other.
-    let vm_config = match cancel_after() {
+    let vm_config = match cfg.cancel_point() {
         Some(k) => format!("{base_config:?} cancel_after={k}"),
         None => format!("{base_config:?}"),
     };
     journal::RunInputs {
         version: env!("CARGO_PKG_VERSION").to_owned(),
-        scale: crate::snapshot::scale_name(scale).to_owned(),
+        scale: crate::snapshot::scale_name(cfg.scale).to_owned(),
         experiments: experiments.to_vec(),
-        cell_budget: cell_budget(),
-        retries: u64::try_from(retries()).unwrap_or(u64::MAX),
-        fault_prob_bits,
+        cell_budget: cfg.cell_budget,
+        retries: u64::try_from(cfg.retries).unwrap_or(u64::MAX),
+        fault_prob_bits: fault_prob.to_bits(),
         fault_seed,
         vm_config,
     }
@@ -361,9 +253,9 @@ pub fn run_inputs(scale: Scale, experiments: &[String]) -> journal::RunInputs {
 /// `Some(false)` a panic. The decision hashes (seed, label, attempt), so
 /// it is identical across job counts and schedules, and a retried attempt
 /// rolls fresh.
-fn fault_roll(label: &str, attempt: u32) -> Option<bool> {
-    let p = f64::from_bits(FAULT_PROB_BITS.load(Ordering::Relaxed));
-    roll(p, FAULT_SEED.load(Ordering::Relaxed), label, attempt)
+fn fault_roll(cfg: &HarnessConfig, label: &str, attempt: u32) -> Option<bool> {
+    let (p, seed) = cfg.fault?;
+    roll(p, seed, label, attempt)
 }
 
 /// The pure fault-roll: a function of `(p, seed, label, attempt)` only.
@@ -422,10 +314,11 @@ pub enum CellResult<R> {
     Panicked(CellError),
     /// A configured resource budget ran out (fuel, heap, stack).
     Budget(CellError),
-    /// The cell exceeded the wall-clock [`cell_deadline`] (or the
-    /// deterministic [`cancel_after`] point) and was cooperatively
-    /// cancelled. Retried like a panic — the deadline measures host
-    /// conditions, not the deterministic VM — never like a budget trap.
+    /// The cell exceeded the wall-clock [`HarnessConfig::cell_deadline`]
+    /// (or the deterministic [`HarnessConfig::cancel_after`] point) and
+    /// was cooperatively cancelled. Retried like a panic — the deadline
+    /// measures host conditions, not the deterministic VM — never like a
+    /// budget trap.
     Deadline(CellError),
 }
 
@@ -508,8 +401,9 @@ struct Codec<R> {
     decode: fn(&Json) -> Option<R>,
 }
 
-/// Runs the cells on [`jobs`] worker threads with per-cell fault
-/// isolation, returning one [`CellResult`] per cell in submission order.
+/// Runs the cells on [`HarnessConfig::jobs`] worker threads with per-cell
+/// fault isolation, returning one [`CellResult`] per cell in submission
+/// order.
 ///
 /// Workers claim cells from an atomic cursor, so the schedule is dynamic,
 /// but each cell computes the same result wherever it runs (the VM is
@@ -521,10 +415,10 @@ struct Codec<R> {
 /// Each attempt runs under `catch_unwind`: a trapping or panicking cell
 /// becomes a classified [`CellResult`] while its siblings keep running —
 /// workers never unwind, so no queue or slot mutex is ever poisoned.
-/// Panicked cells are retried up to [`retries`] times with a short
-/// deterministic backoff.
-pub fn par_cells_isolated<R: Send>(cells: Vec<Cell<'_, R>>) -> Vec<CellResult<R>> {
-    run_cells(cells, None)
+/// Panicked cells are retried up to [`HarnessConfig::retries`] times with
+/// a short deterministic backoff.
+pub fn par_cells_isolated<R: Send>(h: &Harness, cells: Vec<Cell<'_, R>>) -> Vec<CellResult<R>> {
+    run_cells(h, cells, None)
 }
 
 /// [`par_cells_isolated`] plus durability: when a journal is attached
@@ -535,9 +429,11 @@ pub fn par_cells_isolated<R: Send>(cells: Vec<Cell<'_, R>>) -> Vec<CellResult<R>
 /// returned vector are byte-for-byte what an uninterrupted run produces.
 /// Without an attached journal this is [`par_cells_isolated`].
 pub fn par_cells_journaled<R: Send + JournalPayload>(
+    h: &Harness,
     cells: Vec<Cell<'_, R>>,
 ) -> Vec<CellResult<R>> {
     run_cells(
+        h,
         cells,
         Some(Codec {
             encode: <R as JournalPayload>::encode,
@@ -555,7 +451,11 @@ type Finished<R> = (CellResult<R>, CellMetrics, bool);
 /// [`par_cells_journaled`]: replay journaled cells, run the rest on the
 /// worker pool (stopping at a requested drain), then emit everything on
 /// the calling thread in submission order.
-fn run_cells<R: Send>(cells: Vec<Cell<'_, R>>, codec: Option<Codec<R>>) -> Vec<CellResult<R>> {
+fn run_cells<R: Send>(
+    h: &Harness,
+    cells: Vec<Cell<'_, R>>,
+    codec: Option<Codec<R>>,
+) -> Vec<CellResult<R>> {
     let _hook = CellHookGuard::install();
     let n = cells.len();
     let mut entries: Vec<Option<Finished<R>>> = Vec::with_capacity(n);
@@ -567,13 +467,13 @@ fn run_cells<R: Send>(cells: Vec<Cell<'_, R>>, codec: Option<Codec<R>>) -> Vec<C
         }
         entries.push(replayed);
     }
-    let workers = jobs().min(pending.len());
+    let workers = h.config.jobs.min(pending.len());
     if workers <= 1 {
         for &i in &pending {
             if journal::drain_requested() {
                 break;
             }
-            let (r, m) = run_cell(&cells[i]);
+            let (r, m) = run_cell(h, &cells[i]);
             journal_append(&cells[i].label, &r, &m, codec.as_ref());
             entries[i] = Some((r, m, false));
         }
@@ -595,7 +495,7 @@ fn run_cells<R: Send>(cells: Vec<Cell<'_, R>>, codec: Option<Codec<R>>) -> Vec<C
                         break;
                     }
                     let i = pending[k];
-                    let (r, m) = run_cell(&cells[i]);
+                    let (r, m) = run_cell(h, &cells[i]);
                     journal_append(&cells[i].label, &r, &m, codec.as_ref());
                     *slots[k].lock().unwrap_or_else(|p| p.into_inner()) = Some((r, m, false));
                 });
@@ -765,8 +665,8 @@ fn journal_append<R>(label: &str, r: &CellResult<R>, m: &CellMetrics, codec: Opt
 ///
 /// Panics on the first failed cell — on the calling thread, after all
 /// cells have finished, so no worker state is poisoned.
-pub fn par_cells<R: Send>(cells: Vec<Cell<'_, R>>) -> Vec<R> {
-    par_cells_isolated(cells)
+pub fn par_cells<R: Send>(h: &Harness, cells: Vec<Cell<'_, R>>) -> Vec<R> {
+    par_cells_isolated(h, cells)
         .into_iter()
         .map(|r| r.into_result().unwrap_or_else(|e| panic!("cell {e}")))
         .collect()
@@ -847,6 +747,7 @@ impl CellMetrics {
 
 /// Classifies a caught panic payload into a [`CellResult`] failure.
 fn classify_failure<R>(
+    cfg: &HarnessConfig,
     payload: Box<dyn std::any::Any + Send>,
     label: &str,
     attempts: u32,
@@ -865,7 +766,7 @@ fn classify_failure<R>(
                 // deterministic `--cancel-after-cycles` injection hook),
                 // not by its own doing: the detail is derived from the
                 // configuration, never from wall-clock progress.
-                CellResult::Deadline(err("deadline", deadline_detail()))
+                CellResult::Deadline(err("deadline", deadline_detail(cfg)))
             } else if e.kind.is_budget() {
                 CellResult::Budget(err("budget", e.to_string()))
             } else {
@@ -886,11 +787,11 @@ fn classify_failure<R>(
 /// The deterministic detail string for a cancelled cell. Wall-clock
 /// deadlines fire at a nondeterministic point, so the message reports the
 /// configured limit — the only thing every firing has in common.
-fn deadline_detail() -> String {
-    let ms = cell_deadline();
+fn deadline_detail(cfg: &HarnessConfig) -> String {
+    let ms = cfg.cell_deadline;
     if ms > 0 {
         format!("cell deadline of {ms} ms exceeded")
-    } else if let Some(k) = cancel_after() {
+    } else if let Some(k) = cfg.cancel_point() {
         format!("cancelled after {k} simulated cycles")
     } else {
         "cancelled".to_owned()
@@ -972,16 +873,18 @@ impl Drop for CellHookGuard {
 /// MIPS (interpreted instructions per wall-clock microsecond) — at the
 /// `cells` level (`ISF_LOG=off` silences it) and returning the
 /// measurements alongside the result. Panicked attempts are retried up to
-/// [`retries`] times with a short deterministic backoff; traps and budget
-/// exhaustion are deterministic, so they fail immediately.
-fn run_cell<R>(c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
+/// [`HarnessConfig::retries`] times with a short deterministic backoff;
+/// traps and budget exhaustion are deterministic, so they fail
+/// immediately.
+fn run_cell<R>(h: &Harness, c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
+    let cfg = &h.config;
     let _cell_span = span::begin("cell", c.label.clone());
     // Capture the phase sections this cell contributes (across every
     // attempt) so they can be journaled with it and re-injected on replay.
     emit::begin_phase_capture();
-    let deadline_ms = cell_deadline();
-    let inject_cancel = cancel_after();
-    let max_attempts = u32::try_from(retries())
+    let deadline_ms = cfg.cell_deadline;
+    let inject_cancel = cfg.cancel_point();
+    let max_attempts = u32::try_from(cfg.retries)
         .unwrap_or(u32::MAX)
         .saturating_add(1);
     let mut attempt = 1u32;
@@ -1002,7 +905,7 @@ fn run_cell<R>(c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
         let start = Instant::now();
         IN_CELL.with(|f| f.set(true));
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inject_trap) = fault_roll(&c.label, attempt) {
+            if let Some(inject_trap) = fault_roll(cfg, &c.label, attempt) {
                 if inject_trap {
                     std::panic::panic_any(CellTrap(VmError {
                         kind: isf_exec::TrapKind::DivisionByZero,
@@ -1048,10 +951,10 @@ fn run_cell<R>(c: &Cell<'_, R>) -> (CellResult<R>, CellMetrics) {
         };
         let result = match outcome {
             Ok(r) => CellResult::Ok(r),
-            Err(payload) => classify_failure(payload, &c.label, attempt),
+            Err(payload) => classify_failure(cfg, payload, &c.label, attempt),
         };
         if matches!(&result, CellResult::Deadline(_)) {
-            DEADLINE_HIT.store(true, Ordering::Relaxed);
+            h.deadline_hit.store(true, Ordering::Relaxed);
             if deadline_ms > 0 {
                 metrics::counter_add("watchdog.fired", 1);
             }
@@ -1120,14 +1023,15 @@ pub struct PreparedSuite {
     pub errors: Vec<CellError>,
 }
 
-/// Compiles and baselines the whole suite at `scale`, one isolated cell
-/// per benchmark.
-pub fn prepare_suite(scale: Scale) -> PreparedSuite {
-    let workloads = suite(scale);
+/// Compiles and baselines the whole suite at the harness's scale, one
+/// isolated cell per benchmark.
+pub fn prepare_suite(h: &Harness) -> PreparedSuite {
+    let workloads = suite(h.config.scale);
     let results = par_cells_isolated(
+        h,
         workloads
             .iter()
-            .map(|w| cell(format!("prepare/{}", w.name()), move || prepare(w)))
+            .map(|w| cell(format!("prepare/{}", w.name()), move || prepare(h, w)))
             .collect(),
     );
     let mut benches = Vec::new();
@@ -1142,12 +1046,12 @@ pub fn prepare_suite(scale: Scale) -> PreparedSuite {
 }
 
 /// Compiles and baselines one workload.
-pub fn prepare(w: &Workload) -> PreparedBench {
+pub fn prepare(h: &Harness, w: &Workload) -> PreparedBench {
     let start = Instant::now();
     let module = w.compile();
     let frontend_time = start.elapsed();
     emit::phase("compile", frontend_time);
-    let baseline = run_module(&module, Trigger::Never);
+    let baseline = run_module(h, &module, Trigger::Never);
     PreparedBench {
         name: w.name(),
         module,
@@ -1212,30 +1116,30 @@ pub fn instrument(
 // Shared preparation cache.
 // ---------------------------------------------------------------------
 
-/// Process-wide cache of decoded modules, keyed by a fingerprint of the
-/// module text, the cost model, and the fusion mode. Experiments sweep
-/// the same program across many configurations — Table 4 alone runs one
-/// instrumented module at six sampling intervals, and every strategy
-/// re-compiles and re-baselines the whole suite — so sharing one
-/// [`PreparedModule`] across cells (and across the `par_cells` workers
-/// that run them) removes most preparation work from a harness run.
+/// The harness's cache of decoded modules, keyed by [`prep_key`].
+/// Experiments sweep the same program across many configurations — Table
+/// 4 alone runs one instrumented module at six sampling intervals, and
+/// every strategy re-compiles and re-baselines the whole suite — so
+/// sharing one [`PreparedModule`] across cells (and across the
+/// `par_cells` workers that run them) removes most preparation work from
+/// a harness run.
 ///
-/// The map holds one lazily-initialized slot per fingerprint: the map
-/// lock is released before decoding, so requests for *different* modules
-/// prepare in parallel while concurrent requests for the *same* module
-/// block on the slot and share a single preparation.
+/// The map holds one lazily-initialized slot per key: the map lock is
+/// released before decoding, so requests for *different* modules prepare
+/// in parallel while concurrent requests for the *same* module block on
+/// the slot and share a single preparation.
 type PrepSlot = Arc<OnceLock<Arc<PreparedModule>>>;
-static PREP_CACHE: OnceLock<Mutex<HashMap<u64, PrepSlot>>> = OnceLock::new();
 
-/// Fingerprints everything that determines the decoded form: the module's
-/// canonical text plus the cost model and the fusion mode it would be
-/// prepared under.
-fn prep_fingerprint(module: &Module, cost: &CostModel) -> u64 {
+/// The cache key of a decode: the module's canonical text and whether the
+/// decode is guided. The cost model and fuse mode are fixed for a
+/// harness's lifetime, and guided preparation is a pure function of
+/// module and cost, so nothing else can change the decoded form.
+fn prep_key(module: &Module, guided: bool) -> u64 {
     let h = journal::fnv1a(journal::FNV_OFFSET, module.to_string().as_bytes());
-    journal::fnv1a(h, format!("{cost:?}/{:?}", fuse_mode()).as_bytes())
+    journal::fnv1a(h, if guided { b"/guided" } else { b"/static" })
 }
 
-/// Decodes `module` under the harness cost model through the shared
+/// Decodes `module` under the harness cost model through the harness's
 /// preparation cache, returning the (possibly shared) decoded form.
 ///
 /// Counts one preparation *request* toward the current cell's `prepares`
@@ -1244,28 +1148,18 @@ fn prep_fingerprint(module: &Module, cost: &CostModel) -> u64 {
 /// stay byte-identical however cells are scheduled. Hits and misses feed
 /// the metrics registry (`prep.cache.hits` / `prep.cache.misses`) when
 /// self-profiling is enabled: the miss total is the number of *distinct*
-/// fingerprints decoded and the hit total is requests minus misses, so
-/// both are themselves deterministic across job counts even though which
-/// worker pays each decode is not (that only surfaces in `ISF_LOG=debug`).
-pub fn cached_prepare(module: &Module) -> Arc<PreparedModule> {
+/// keys decoded and the hit total is requests minus misses, so both are
+/// themselves deterministic across job counts even though which worker
+/// pays each decode is not (that only surfaces in `ISF_LOG=debug`).
+pub fn cached_prepare(h: &Harness, module: &Module) -> Arc<PreparedModule> {
     note_prepare_request();
     let cost = CostModel::default();
     // Guided preparation only refines the statically-fused form: with
     // fusion off there is nothing for a warmup profile to steer.
-    let guided = pgo() && matches!(fuse_mode(), FuseMode::Fuse);
-    let key = if guided {
-        journal::fnv1a(
-            prep_fingerprint(module, &cost),
-            format!("/pgo{}", pgo_epoch()).as_bytes(),
-        )
-    } else {
-        prep_fingerprint(module, &cost)
-    };
+    let guided = h.config.pgo && h.config.fuse;
+    let key = prep_key(module, guided);
     let slot = {
-        let mut map = PREP_CACHE
-            .get_or_init(Mutex::default)
-            .lock()
-            .unwrap_or_else(|p| p.into_inner());
+        let mut map = h.prep_cache.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(key).or_default().clone()
     };
     let mut fresh = false;
@@ -1275,7 +1169,12 @@ pub fn cached_prepare(module: &Module) -> Arc<PreparedModule> {
             if guided {
                 Arc::new(pgo_prepare(module, &cost))
             } else {
-                Arc::new(PreparedModule::prepare(module, &cost))
+                let mode = if h.config.fuse {
+                    FuseMode::Fuse
+                } else {
+                    FuseMode::Off
+                };
+                Arc::new(PreparedModule::prepare_with(module, &cost, mode))
             }
         })
         .clone();
@@ -1328,48 +1227,52 @@ fn pgo_prepare(module: &Module, cost: &CostModel) -> PreparedModule {
 }
 
 /// Runs a module under the harness VM configuration (including the
-/// [`cell_budget`] cycle cap, when one is set), decoding it through the
-/// shared preparation cache first. For a cell that runs the same module
+/// [`HarnessConfig::cell_budget`] cycle cap, when one is set), decoding it
+/// through the harness's preparation cache first. For a cell that runs
+/// the same module
 /// repeatedly, [`prepare_for_runs`] + [`run_prepared_module`] keeps the
 /// decoded form in hand across the sweep.
 ///
 /// # Panics
 ///
-/// Unwinds with a typed [`CellTrap`] payload if the program traps, which
+/// Unwinds with a typed `CellTrap` payload if the program traps, which
 /// the cell isolation layer classifies into [`CellResult::Trapped`] or
 /// [`CellResult::Budget`] without taking sibling cells down.
-pub fn run_module(module: &Module, trigger: Trigger) -> Outcome {
-    let prepared = cached_prepare(module);
-    run_prepared_module(&prepared, trigger)
+pub fn run_module(h: &Harness, module: &Module, trigger: Trigger) -> Outcome {
+    let prepared = cached_prepare(h, module);
+    run_prepared_module(h, &prepared, trigger)
 }
 
 /// Pre-decodes a module once, under the harness cost model, for repeated
-/// [`run_prepared_module`] runs. Served from the shared preparation cache,
-/// so identical (program, cost, fusion) requests across cells — Table 4's
-/// per-strategy suites, for instance — share one decode.
-pub fn prepare_for_runs(module: &Module) -> Arc<PreparedModule> {
+/// [`run_prepared_module`] runs. Served from the harness's preparation
+/// cache, so identical programs across cells — Table 4's per-strategy
+/// suites, for instance — share one decode.
+pub fn prepare_for_runs(h: &Harness, module: &Module) -> Arc<PreparedModule> {
     let start = Instant::now();
-    let prepared = cached_prepare(module);
+    let prepared = cached_prepare(h, module);
     emit::phase("prepare", start.elapsed());
     prepared
 }
 
 /// Runs an already-decoded module under the harness VM configuration
-/// (including the [`cell_budget`] cycle cap, when one is set).
+/// (including the [`HarnessConfig::cell_budget`] cycle cap, when one is
+/// set). With self-profiling on (the metrics registry's gate), the run
+/// goes through the profiled engine and its profile is folded into the
+/// registry.
 ///
 /// # Panics
 ///
-/// Unwinds with a typed [`CellTrap`] payload if the program traps, which
+/// Unwinds with a typed `CellTrap` payload if the program traps, which
 /// the cell isolation layer classifies into [`CellResult::Trapped`] or
 /// [`CellResult::Budget`] without taking sibling cells down.
-pub fn run_prepared_module(prepared: &PreparedModule, trigger: Trigger) -> Outcome {
+pub fn run_prepared_module(h: &Harness, prepared: &PreparedModule, trigger: Trigger) -> Outcome {
     let cfg = VmConfig {
         trigger,
-        limits: harness_limits(),
+        limits: h.config.limits(),
         ..VmConfig::default()
     };
     let start = Instant::now();
-    let result = if profiling() {
+    let result = if metrics::enabled() {
         let mut profile = OpProfile::new();
         let result = run_prepared_profiled(prepared, &cfg, &mut profile);
         record_profile(&profile, trigger);
@@ -1437,19 +1340,20 @@ impl FusionCoverage {
     }
 }
 
-/// Measures fusion coverage for every suite benchmark at `scale` by
-/// running each one uninstrumented under the profiled prepared engine
-/// (decodes come from the shared preparation cache). Coverage totals also
+/// Measures fusion coverage for every suite benchmark at the harness's
+/// scale by running each one uninstrumented under the profiled prepared
+/// engine (decodes come from the harness's preparation cache). Coverage
+/// totals also
 /// land in the registry as `fusion.<bench>.fused_instructions` /
 /// `.total_instructions` counters when profiling is enabled. Runs on the
 /// calling thread and emits no JSONL, so the stream's cell records are
 /// untouched.
-pub fn fusion_coverage(scale: Scale) -> Vec<FusionCoverage> {
-    suite(scale)
+pub fn fusion_coverage(h: &Harness) -> Vec<FusionCoverage> {
+    suite(h.config.scale)
         .iter()
         .map(|w| {
             let module = w.compile();
-            let prepared = cached_prepare(&module);
+            let prepared = cached_prepare(h, &module);
             let cfg = VmConfig {
                 trigger: Trigger::Never,
                 ..VmConfig::default()
@@ -1484,7 +1388,7 @@ pub fn fusion_coverage(scale: Scale) -> Vec<FusionCoverage> {
 /// carries when self-profiling is enabled — empty otherwise, so
 /// profiling-off streams stay byte-identical to pre-registry ones.
 pub fn summary_profile_fields() -> Vec<(&'static str, Json)> {
-    if !profiling() {
+    if !metrics::enabled() {
         return Vec::new();
     }
     let snap = metrics::snapshot();
@@ -1505,49 +1409,61 @@ pub fn overhead_pct(outcome: &Outcome, baseline: &Outcome) -> f64 {
 /// Convenience: instrument with `strategy`, run with `trigger`, return the
 /// overhead relative to the prepared baseline along with the outcome.
 pub fn overhead_of(
+    h: &Harness,
     bench: &PreparedBench,
     kinds: Kinds,
     strategy: Strategy,
     trigger: Trigger,
 ) -> (f64, Outcome) {
     let (module, _, _) = instrument(&bench.module, kinds, &Options::new(strategy));
-    let outcome = run_module(&module, trigger);
+    let outcome = run_module(h, &module, trigger);
     let pct = overhead_pct(&outcome, &bench.baseline);
     (pct, outcome)
 }
 
 /// The perfect (exhaustive) profile of a benchmark for the given kinds.
-pub fn perfect_profile(bench: &PreparedBench, kinds: Kinds) -> isf_profile::ProfileData {
+pub fn perfect_profile(
+    h: &Harness,
+    bench: &PreparedBench,
+    kinds: Kinds,
+) -> isf_profile::ProfileData {
     let (module, _, _) = instrument(&bench.module, kinds, &Options::new(Strategy::Exhaustive));
-    run_module(&module, Trigger::Never).profile
+    run_module(h, &module, Trigger::Never).profile
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// `jobs` worker threads, every other setting at its default.
+    fn with_jobs(jobs: usize) -> Harness {
+        smoke_harness_with(|c| c.jobs = jobs)
+    }
+
     #[test]
     fn prepare_runs_baselines() {
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
-        let b = prepare(&w);
+        let b = prepare(&smoke_harness(), &w);
         assert!(b.baseline.cycles > 0);
         assert_eq!(b.baseline.checks_executed, 0);
     }
 
     #[test]
     fn exhaustive_overhead_positive() {
+        let h = smoke_harness();
         let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
-        let b = prepare(&w);
-        let (pct, o) = overhead_of(&b, Kinds::Both, Strategy::Exhaustive, Trigger::Never);
+        let b = prepare(&h, &w);
+        let (pct, o) = overhead_of(&h, &b, Kinds::Both, Strategy::Exhaustive, Trigger::Never);
         assert!(pct > 0.0);
         assert!(o.profile.total_call_edge_events() > 0);
     }
 
     #[test]
     fn perfect_profile_nonempty() {
+        let h = smoke_harness();
         let w = isf_workloads::by_name("compress", Scale::Smoke).unwrap();
-        let b = prepare(&w);
-        let p = perfect_profile(&b, Kinds::Both);
+        let b = prepare(&h, &w);
+        let p = perfect_profile(&h, &b, Kinds::Both);
         assert!(p.total_field_access_events() > 0);
         assert!(p.total_call_edge_events() > 0);
     }
@@ -1557,7 +1473,7 @@ mod tests {
         let cells = (0..37)
             .map(|i| cell(format!("order/{i}"), move || i * 3))
             .collect();
-        let results = par_cells(cells);
+        let results = par_cells(&with_jobs(4), cells);
         assert_eq!(results, (0..37).map(|i| i * 3).collect::<Vec<_>>());
     }
 
@@ -1568,16 +1484,28 @@ mod tests {
             .iter()
             .map(|x| cell(format!("borrow/{x}"), move || x + 1))
             .collect();
-        assert_eq!(par_cells(cells), (1..=8).collect::<Vec<u64>>());
+        assert_eq!(
+            par_cells(&with_jobs(4), cells),
+            (1..=8).collect::<Vec<u64>>()
+        );
     }
 
     #[test]
     fn jobs_override_takes_precedence() {
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_jobs(3);
-        assert_eq!(jobs(), 3);
-        set_jobs(0);
-        assert!(jobs() >= 1);
+        // The configured job count, not the machine's parallelism, sizes
+        // the worker pool: one job runs every cell on the calling thread,
+        // three jobs use at most three workers.
+        let threads = |jobs| {
+            let cells = (0..24)
+                .map(|i| cell(format!("jobs/{i}"), || std::thread::current().id()))
+                .collect();
+            let ids = par_cells(&with_jobs(jobs), cells);
+            ids.into_iter().collect::<std::collections::HashSet<_>>()
+        };
+        let serial = threads(1);
+        assert_eq!(serial.len(), 1);
+        assert!(serial.contains(&std::thread::current().id()));
+        assert!(threads(3).len() <= 3);
     }
 
     #[test]
@@ -1586,18 +1514,16 @@ mod tests {
         // with wall-clock fields redacted, the JSONL cell stream — labels,
         // simulated cycles, instruction and preparation counts, order —
         // must not depend on the worker count.
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
         emit::set_mode(emit::EmitMode::Json);
         emit::set_redact(true);
         let run_once = |jobs: usize| {
-            set_jobs(jobs);
-            let t = crate::table1::run(Scale::Smoke);
+            let t = crate::table1::run(&with_jobs(jobs));
             t.emit_jsonl();
             emit::drain()
         };
         let serial = run_once(1);
         let parallel = run_once(8);
-        set_jobs(0);
         emit::set_mode(emit::EmitMode::Off);
         emit::set_redact(false);
         assert!(!serial.is_empty());
@@ -1611,30 +1537,31 @@ mod tests {
 
     #[test]
     fn preparation_cache_shares_decodes() {
-        // A module text unique to this test keys a fresh cache slot, so
+        // The harness is this test's own, so its cache starts empty, and
         // the thread-local preparation counter isolates exactly what this
         // thread decoded regardless of concurrently running tests. The
         // hit/miss counters live in the metrics registry, so the test
         // profiles while holding the lock that serializes registry users.
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_profiling(true);
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
+        let h = smoke_harness();
+        metrics::set_enabled(true);
         let before = metrics::snapshot();
         let m = isf_frontend::compile("fn main() { print(424242); }").unwrap();
         let preps_before = isf_exec::thread_preparations();
-        let first = cached_prepare(&m);
+        let first = cached_prepare(&h, &m);
         assert_eq!(
             isf_exec::thread_preparations(),
             preps_before + 1,
             "first request pays the decode"
         );
-        let second = cached_prepare(&m);
+        let second = cached_prepare(&h, &m);
         assert_eq!(
             isf_exec::thread_preparations(),
             preps_before + 1,
             "second request is served from the cache"
         );
         let after = metrics::snapshot();
-        set_profiling(false);
+        metrics::set_enabled(false);
         assert!(
             Arc::ptr_eq(&first, &second),
             "both requests share one PreparedModule"
@@ -1654,20 +1581,24 @@ mod tests {
         // `prepares` in the cell record is the number of preparation
         // *requests* — a deterministic property of the cell's work — so a
         // cache hit must count exactly like the decode it avoided.
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_profiling(true);
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
+        let h = smoke_harness();
+        metrics::set_enabled(true);
         let m = isf_frontend::compile("fn main() { print(777001); }").unwrap();
         let run_once = || {
-            let results = par_cells_isolated(vec![cell("prep-req/unique", || {
-                run_module(&m, Trigger::Never).cycles
-            })]);
+            let results = par_cells_isolated(
+                &h,
+                vec![cell("prep-req/unique", || {
+                    run_module(&h, &m, Trigger::Never).cycles
+                })],
+            );
             assert!(matches!(results[0], CellResult::Ok(_)));
         };
         run_once(); // decodes
         let hits_before = metrics::snapshot().counter("prep.cache.hits");
         run_once(); // hits
         let hits_after = metrics::snapshot().counter("prep.cache.hits");
-        set_profiling(false);
+        metrics::set_enabled(false);
         assert!(hits_after > hits_before, "second run hits the cache");
     }
 
@@ -1678,27 +1609,27 @@ mod tests {
         // outcome is identical to the non-PGO one, and the call-dense
         // benchmarks clear the coverage target the static catalogue
         // could not reach. Guided preparation refines the statically
-        // fused form, so fusion is pinned on for the test even when the
-        // suite runs under `ISF_FUSE=0` (fusion is observably equivalent,
-        // and the fuse mode keys the preparation cache).
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        isf_exec::set_fuse_mode(Some(FuseMode::Fuse));
+        // fused form, so both harnesses fuse even when the suite runs
+        // under `ISF_FUSE=0` (fusion is observably equivalent).
+        let plain = smoke_harness_with(|c| c.fuse = true);
+        let guided = smoke_harness_with(|c| {
+            c.fuse = true;
+            c.pgo = true;
+        });
         let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
         let m = w.compile();
-        let baseline = run_module(&m, Trigger::Never);
-        set_profiling(true);
+        let baseline = run_module(&plain, &m, Trigger::Never);
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
+        metrics::set_enabled(true);
         let warmups_before = metrics::snapshot().counter("pgo.warmups");
-        set_pgo(true);
-        let prepared = cached_prepare(&m);
-        let outcome = run_prepared_module(&prepared, Trigger::Never);
+        let prepared = cached_prepare(&guided, &m);
+        let outcome = run_prepared_module(&guided, &prepared, Trigger::Never);
         let warmups_after = metrics::snapshot().counter("pgo.warmups");
         // Coverage with profiling off: the returned values are what this
         // test needs, and recording nothing keeps the cumulative
         // `fusion.*` registry counters exactly as other tests expect.
-        set_profiling(false);
-        let coverage = fusion_coverage(Scale::Smoke);
-        set_pgo(false);
-        isf_exec::set_fuse_mode(None);
+        metrics::set_enabled(false);
+        let coverage = fusion_coverage(&guided);
         assert!(
             prepared.num_guided() > 0,
             "guided preparation instantiated no generalized groups"
@@ -1719,10 +1650,9 @@ mod tests {
 
     #[test]
     fn profiled_runs_fold_into_the_registry_and_match_unprofiled() {
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        // The coverage assertions below are about the fused form: pin
-        // fusion on even when the suite runs under `ISF_FUSE=0`.
-        isf_exec::set_fuse_mode(Some(FuseMode::Fuse));
+        // The coverage assertions below are about the fused form: fuse
+        // even when the suite runs under `ISF_FUSE=0`.
+        let h = smoke_harness_with(|c| c.fuse = true);
         let w = isf_workloads::by_name("compress", Scale::Smoke).unwrap();
         // Instrumented module: sampling checks are what feed the trigger
         // gap histograms (an uninstrumented program never samples).
@@ -1731,14 +1661,14 @@ mod tests {
             Kinds::Both,
             &Options::new(Strategy::FullDuplication),
         );
-        let plain = run_module(&m, Trigger::Counter { interval: 50 });
-        set_profiling(true);
+        let plain = run_module(&h, &m, Trigger::Counter { interval: 50 });
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
+        metrics::set_enabled(true);
         let before = metrics::snapshot();
-        let profiled = run_module(&m, Trigger::Counter { interval: 50 });
-        let coverage = fusion_coverage(Scale::Smoke);
+        let profiled = run_module(&h, &m, Trigger::Counter { interval: 50 });
+        let coverage = fusion_coverage(&h);
         let snap = metrics::snapshot();
-        set_profiling(false);
-        isf_exec::set_fuse_mode(None);
+        metrics::set_enabled(false);
         assert_eq!(plain, profiled, "profiling must not change the outcome");
         // The registry is process-global and other tests may record while
         // profiling is on, so registry assertions are delta-based.
@@ -1779,11 +1709,12 @@ mod tests {
 
     #[test]
     fn prepared_run_matches_unprepared() {
+        let h = smoke_harness();
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let p = prepare_for_runs(&m);
-        let direct = run_module(&m, Trigger::Counter { interval: 7 });
-        let replay = run_prepared_module(&p, Trigger::Counter { interval: 7 });
+        let p = prepare_for_runs(&h, &m);
+        let direct = run_module(&h, &m, Trigger::Counter { interval: 7 });
+        let replay = run_prepared_module(&h, &p, Trigger::Counter { interval: 7 });
         assert_eq!(direct, replay);
     }
 
@@ -1869,12 +1800,9 @@ mod tests {
             }
             assert!(matches!(results[4], CellResult::Ok(2)));
         };
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
         for jobs in [1, 4] {
-            set_jobs(jobs);
-            check(par_cells_isolated(mk_cells()));
+            check(par_cells_isolated(&with_jobs(jobs), mk_cells()));
         }
-        set_jobs(0);
     }
 
     #[test]
@@ -1882,11 +1810,10 @@ mod tests {
         // Failure records obey the same determinism contract as cell
         // records: emitted on the calling thread in submission order,
         // byte-identical however many workers ran the cells.
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
         emit::set_mode(emit::EmitMode::Json);
         emit::set_redact(true);
         let run_once = |jobs: usize| {
-            set_jobs(jobs);
             let cells = (0..12)
                 .map(|i| {
                     cell(format!("mix/{i}"), move || -> u64 {
@@ -1900,7 +1827,7 @@ mod tests {
                     })
                 })
                 .collect();
-            let results = par_cells_isolated(cells);
+            let results = par_cells_isolated(&with_jobs(jobs), cells);
             let (oks, errors) = split_results(results);
             assert_eq!(oks.len(), 8);
             assert_eq!(errors.len(), 4);
@@ -1908,7 +1835,6 @@ mod tests {
         };
         let serial = run_once(1);
         let parallel = run_once(4);
-        set_jobs(0);
         emit::set_mode(emit::EmitMode::Off);
         emit::set_redact(false);
         assert_eq!(serial, parallel, "error stream depends on the job count");
@@ -1924,14 +1850,15 @@ mod tests {
 
     #[test]
     fn panicked_cells_retry_up_to_the_bound() {
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_retries(2);
+        let retries = |n| smoke_harness_with(|c| c.retries = n);
         let attempts = std::sync::atomic::AtomicU32::new(0);
-        let results = par_cells_isolated(vec![cell("retry/always-fails", || -> u64 {
-            attempts.fetch_add(1, Ordering::Relaxed);
-            panic!("flaky")
-        })]);
-        set_retries(usize::MAX);
+        let results = par_cells_isolated(
+            &retries(2),
+            vec![cell("retry/always-fails", || -> u64 {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                panic!("flaky")
+            })],
+        );
         assert_eq!(attempts.load(Ordering::Relaxed), 3);
         match &results[0] {
             CellResult::Panicked(e) => {
@@ -1941,34 +1868,37 @@ mod tests {
             other => panic!("expected panic, got {other:?}"),
         }
         // Traps are deterministic: never retried even with retries set.
-        set_retries(5);
         let trap_attempts = std::sync::atomic::AtomicU32::new(0);
-        let results = par_cells_isolated(vec![cell("retry/trap", || -> u64 {
-            trap_attempts.fetch_add(1, Ordering::Relaxed);
-            std::panic::panic_any(CellTrap(VmError {
-                kind: isf_exec::TrapKind::DivisionByZero,
-                function: "f".to_owned(),
-            }))
-        })]);
-        set_retries(usize::MAX);
+        let results = par_cells_isolated(
+            &retries(5),
+            vec![cell("retry/trap", || -> u64 {
+                trap_attempts.fetch_add(1, Ordering::Relaxed);
+                std::panic::panic_any(CellTrap(VmError {
+                    kind: isf_exec::TrapKind::DivisionByZero,
+                    function: "f".to_owned(),
+                }))
+            })],
+        );
         assert_eq!(trap_attempts.load(Ordering::Relaxed), 1);
         assert!(matches!(&results[0], CellResult::Trapped(e) if e.attempts == 1));
     }
 
     #[test]
     fn cancel_after_turns_cells_into_deadline_failures_that_retry_like_panics() {
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_retries(1);
-        set_cancel_after(500);
+        let h = smoke_harness_with(|c| {
+            c.retries = 1;
+            c.cancel_after = 500;
+        });
         let attempts = std::sync::atomic::AtomicU32::new(0);
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let results = par_cells_isolated(vec![cell("deadline/db", || {
-            attempts.fetch_add(1, Ordering::Relaxed);
-            run_module(&m, Trigger::Never).cycles
-        })]);
-        set_cancel_after(u64::MAX);
-        set_retries(usize::MAX);
+        let results = par_cells_isolated(
+            &h,
+            vec![cell("deadline/db", || {
+                attempts.fetch_add(1, Ordering::Relaxed);
+                run_module(&h, &m, Trigger::Never).cycles
+            })],
+        );
         // Cancelled attempts are retried like panics (and unlike budget
         // traps): 1 + the configured retry.
         assert_eq!(attempts.load(Ordering::Relaxed), 2);
@@ -1981,7 +1911,7 @@ mod tests {
             other => panic!("expected deadline failure, got {other:?}"),
         }
         // A fresh deadline marks the run resumable.
-        assert!(deadline_hit());
+        assert!(h.deadline_hit());
     }
 
     #[test]
@@ -2019,14 +1949,15 @@ mod tests {
 
     #[test]
     fn cell_budget_turns_runaway_cells_into_budget_failures() {
-        let _guard = JOBS_TEST_LOCK.lock().unwrap();
-        set_cell_budget(1_000);
+        let h = smoke_harness_with(|c| c.cell_budget = 1_000);
         let w = isf_workloads::by_name("db", Scale::Smoke).unwrap();
         let m = w.compile();
-        let results = par_cells_isolated(vec![cell("budget/db", || {
-            run_module(&m, Trigger::Never).cycles
-        })]);
-        set_cell_budget(u64::MAX);
+        let results = par_cells_isolated(
+            &h,
+            vec![cell("budget/db", || {
+                run_module(&h, &m, Trigger::Never).cycles
+            })],
+        );
         match &results[0] {
             CellResult::Budget(e) => {
                 assert_eq!(e.kind, "budget");

@@ -25,9 +25,10 @@ use isf_exec::{
 use isf_obs::{emit, Json};
 
 use crate::runner::{
-    cell, fusion_coverage, instrument, par_cells, prepare_suite, run_module, FusionCoverage, Kinds,
+    cell, fusion_coverage, instrument, par_cells, prepare_suite, run_module, FusionCoverage,
+    Harness, HarnessConfig, Kinds,
 };
-use crate::{runner, Scale};
+use crate::Scale;
 
 /// The sample interval every snapshot run uses, so snapshots taken on
 /// different days measure the same work.
@@ -54,18 +55,20 @@ pub struct BenchSample {
     pub mips: f64,
 }
 
-/// Measures the whole suite at `scale`, one cell per benchmark.
+/// Measures the whole suite at the harness's scale, one cell per
+/// benchmark.
 ///
 /// # Panics
 ///
 /// Panics if any benchmark fails to prepare or run — a snapshot of a
 /// partially failed suite would silently skew the recorded baselines.
-pub fn collect(scale: Scale) -> Vec<BenchSample> {
-    let suite = prepare_suite(scale);
+pub fn collect(h: &Harness) -> Vec<BenchSample> {
+    let suite = prepare_suite(h);
     if let Some(e) = suite.errors.first() {
         panic!("bench-snapshot: cell {e}");
     }
     par_cells(
+        h,
         suite
             .benches
             .iter()
@@ -78,6 +81,7 @@ pub fn collect(scale: Scale) -> Vec<BenchSample> {
                     );
                     let start = Instant::now();
                     let o = run_module(
+                        h,
                         &module,
                         Trigger::Counter {
                             interval: SNAPSHOT_INTERVAL,
@@ -124,16 +128,16 @@ pub struct DispatchSample {
     pub naive_ns: u64,
 }
 
-/// Measures the engine ablation on [`DISPATCH_BENCHES`] at `scale`: one
-/// timed run per engine per benchmark. All three engines produce the
-/// identical outcome; only the wall clock differs.
+/// Measures the engine ablation on [`DISPATCH_BENCHES`] at the harness's
+/// scale: one timed run per engine per benchmark. All three engines
+/// produce the identical outcome; only the wall clock differs.
 ///
 /// # Panics
 ///
 /// Panics if a benchmark is missing from the suite or a run traps — the
 /// dispatch baselines would otherwise silently vanish from the snapshot.
-pub fn dispatch_samples(scale: Scale) -> Vec<DispatchSample> {
-    let suite = prepare_suite(scale);
+pub fn dispatch_samples(h: &Harness) -> Vec<DispatchSample> {
+    let suite = prepare_suite(h);
     let cfg = VmConfig::default();
     DISPATCH_BENCHES
         .iter()
@@ -181,7 +185,7 @@ pub struct ProfileSample {
     pub coverage_pct: f64,
 }
 
-/// Times the profiled fused engine on [`DISPATCH_BENCHES`] at `scale` —
+/// Times the profiled fused engine on [`DISPATCH_BENCHES`] —
 /// the self-profiling counterpart of [`dispatch_samples`], sharing its
 /// workload so `profiled_ns / fused_ns` is the sink's overhead.
 ///
@@ -189,8 +193,8 @@ pub struct ProfileSample {
 ///
 /// Panics if a benchmark is missing from the suite or a run traps, for
 /// the same reason [`dispatch_samples`] does.
-pub fn profile_samples(scale: Scale) -> Vec<ProfileSample> {
-    let suite = prepare_suite(scale);
+pub fn profile_samples(h: &Harness) -> Vec<ProfileSample> {
+    let suite = prepare_suite(h);
     let cfg = VmConfig::default();
     DISPATCH_BENCHES
         .iter()
@@ -215,15 +219,13 @@ pub fn profile_samples(scale: Scale) -> Vec<ProfileSample> {
 
 /// Measures fusion coverage for the whole suite with profile-guided
 /// preparation enabled: the `profile_guided` section of the snapshot.
-/// Runs through the same [`fusion_coverage`] machinery — the PGO override
-/// is flipped on for the measurement (bumping the profile epoch, so the
-/// guided decodes get their own cache entries) and restored afterwards.
-pub fn guided_coverage(scale: Scale) -> Vec<FusionCoverage> {
-    let was = runner::pgo();
-    runner::set_pgo(true);
-    let coverage = fusion_coverage(scale);
-    runner::set_pgo(was);
-    coverage
+/// Runs through the same [`fusion_coverage`] machinery, on a harness
+/// that differs from `h` only in having PGO on.
+pub fn guided_coverage(h: &Harness) -> Vec<FusionCoverage> {
+    fusion_coverage(&Harness::new(HarnessConfig {
+        pgo: true,
+        ..h.config().clone()
+    }))
 }
 
 /// Renders a snapshot as its JSON document.
@@ -375,24 +377,30 @@ pub fn today() -> String {
     format!("{y:04}-{m:02}-{d:02}")
 }
 
-/// Runs the snapshot at `scale` and writes `BENCH_<date>.json` into
-/// `dir`, returning the path written. The write is atomic (temp file +
-/// rename), so an interrupted snapshot never leaves a partial or corrupt
-/// dated baseline — the file either has yesterday's content or today's,
-/// never a torn mix.
+/// Runs the snapshot at the harness's scale and writes
+/// `BENCH_<date>.json` into `dir`, returning the path written. The write
+/// is atomic (temp file + rename), so an interrupted snapshot never leaves
+/// a partial or corrupt dated baseline — the file either has yesterday's
+/// content or today's, never a torn mix.
 ///
 /// # Errors
 ///
 /// Propagates filesystem errors from writing the file.
-pub fn write(scale: Scale, dir: &Path) -> io::Result<PathBuf> {
+pub fn write(h: &Harness, dir: &Path) -> io::Result<PathBuf> {
     let date = today();
-    let samples = collect(scale);
-    let dispatch = dispatch_samples(scale);
-    let coverage = fusion_coverage(scale);
-    let profiled = profile_samples(scale);
-    let guided = guided_coverage(scale);
+    let samples = collect(h);
+    let dispatch = dispatch_samples(h);
+    let coverage = fusion_coverage(h);
+    let profiled = profile_samples(h);
+    let guided = guided_coverage(h);
     let doc = to_json(
-        scale, &date, &samples, &dispatch, &coverage, &profiled, &guided,
+        h.config().scale,
+        &date,
+        &samples,
+        &dispatch,
+        &coverage,
+        &profiled,
+        &guided,
     );
     let path = dir.join(format!("BENCH_{date}.json"));
     let tmp = dir.join(format!("BENCH_{date}.json.tmp"));
@@ -504,7 +512,7 @@ mod tests {
 
     #[test]
     fn profile_samples_share_the_dispatch_workload() {
-        let samples = profile_samples(Scale::Smoke);
+        let samples = profile_samples(&crate::runner::smoke_harness());
         assert_eq!(samples.len(), DISPATCH_BENCHES.len());
         for s in &samples {
             assert!(DISPATCH_BENCHES.contains(&s.name));
@@ -520,7 +528,7 @@ mod tests {
 
     #[test]
     fn dispatch_samples_cover_both_engines() {
-        let samples = dispatch_samples(Scale::Smoke);
+        let samples = dispatch_samples(&crate::runner::smoke_harness());
         assert_eq!(samples.len(), DISPATCH_BENCHES.len());
         for s in &samples {
             assert!(DISPATCH_BENCHES.contains(&s.name));
@@ -532,7 +540,8 @@ mod tests {
 
     #[test]
     fn snapshot_collects_and_writes() {
-        let samples = collect(Scale::Smoke);
+        let h = crate::runner::smoke_harness();
+        let samples = collect(&h);
         assert_eq!(samples.len(), 10);
         for s in &samples {
             assert!(s.instrumented_cycles > s.baseline_cycles, "{}", s.name);
@@ -541,7 +550,7 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("isf-snapshot-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = write(Scale::Smoke, &dir).unwrap();
+        let path = write(&h, &dir).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
         isf_obs::json::parse(text.trim()).expect("written snapshot parses");
         std::fs::remove_file(&path).ok();

@@ -16,7 +16,7 @@ use isf_exec::Trigger;
 use isf_obs::Json;
 
 use crate::runner::{
-    cell, par_cells_journaled, run_module, split_results, CellError, JournalPayload,
+    cell, par_cells_journaled, run_module, split_results, CellError, Harness, JournalPayload,
 };
 use crate::{write_errors, Scale};
 
@@ -102,15 +102,16 @@ fn cells(scale: Scale) -> Vec<(&'static str, String)> {
 }
 
 /// Runs the diagnostic, one isolated cell per program.
-pub fn run(scale: Scale) -> Spin {
+pub fn run(h: &Harness) -> Spin {
     let results = par_cells_journaled(
-        cells(scale)
+        h,
+        cells(h.config().scale)
             .into_iter()
             .map(|(name, source)| {
                 cell(format!("spin/{name}"), move || {
                     let module = isf_frontend::compile(&source)
                         .unwrap_or_else(|e| panic!("spin program `{name}` failed to compile: {e}"));
-                    let outcome = run_module(&module, Trigger::Never);
+                    let outcome = run_module(h, &module, Trigger::Never);
                     Row {
                         label: name.to_owned(),
                         cycles: outcome.cycles,

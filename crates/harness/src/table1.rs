@@ -10,10 +10,10 @@ use isf_exec::Trigger;
 use isf_obs::Json;
 
 use crate::runner::{
-    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError,
+    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError, Harness,
     JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// One benchmark row.
 #[derive(Clone, Debug)]
@@ -60,18 +60,24 @@ pub struct Table1 {
 
 /// Runs the experiment, one isolated cell per benchmark; failed cells
 /// become error annotations while the rest of the table completes.
-pub fn run(scale: Scale) -> Table1 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Table1 {
+    let suite = prepare_suite(h);
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table1/{}", b.name), move || {
                     let (call_edge, _) =
-                        overhead_of(b, Kinds::CallEdge, Strategy::Exhaustive, Trigger::Never);
-                    let (field_access, _) =
-                        overhead_of(b, Kinds::FieldAccess, Strategy::Exhaustive, Trigger::Never);
+                        overhead_of(h, b, Kinds::CallEdge, Strategy::Exhaustive, Trigger::Never);
+                    let (field_access, _) = overhead_of(
+                        h,
+                        b,
+                        Kinds::FieldAccess,
+                        Strategy::Exhaustive,
+                        Trigger::Never,
+                    );
                     Row {
                         bench: b.name,
                         call_edge,
@@ -159,7 +165,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&crate::runner::smoke_harness());
         assert_eq!(t.rows.len(), 10);
         // Exhaustive instrumentation is expensive on average — the paper's
         // motivation (tens of percent, not single digits).

@@ -12,9 +12,9 @@ use isf_obs::Json;
 
 use crate::runner::{
     cell, instrument, overhead_pct, par_cells_journaled, prepare_suite, run_module, split_results,
-    CellError, JournalPayload, Kinds,
+    CellError, Harness, JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// One benchmark row.
 #[derive(Clone, Debug)]
@@ -81,9 +81,10 @@ pub struct Table2 {
 }
 
 /// Runs the experiment, one isolated cell per benchmark.
-pub fn run(scale: Scale) -> Table2 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Table2 {
+    let suite = prepare_suite(h);
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
@@ -96,7 +97,7 @@ pub fn run(scale: Scale) -> Table2 {
                         Kinds::None,
                         &Options::new(Strategy::FullDuplication),
                     );
-                    let total = overhead_pct(&run_module(&full, Trigger::Never), &b.baseline);
+                    let total = overhead_pct(&run_module(h, &full, Trigger::Never), &b.baseline);
 
                     let (be_only, _, _) = instrument(
                         &b.module,
@@ -107,7 +108,7 @@ pub fn run(scale: Scale) -> Table2 {
                         }),
                     );
                     let backedges =
-                        overhead_pct(&run_module(&be_only, Trigger::Never), &b.baseline);
+                        overhead_pct(&run_module(h, &be_only, Trigger::Never), &b.baseline);
 
                     let (en_only, _, _) = instrument(
                         &b.module,
@@ -117,7 +118,8 @@ pub fn run(scale: Scale) -> Table2 {
                             backedges: false,
                         }),
                     );
-                    let entries = overhead_pct(&run_module(&en_only, Trigger::Never), &b.baseline);
+                    let entries =
+                        overhead_pct(&run_module(h, &en_only, Trigger::Never), &b.baseline);
 
                     let space_kb = stats.space_increase_bytes() as f64 / 1024.0;
                     let compile_time = stats.space_increase_percent();
@@ -229,7 +231,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&crate::runner::smoke_harness());
         assert_eq!(t.rows.len(), 10);
         // Framework overhead is an order of magnitude below exhaustive
         // instrumentation (Table 1): single digits on average.

@@ -11,10 +11,10 @@ use isf_exec::Trigger;
 use isf_obs::Json;
 
 use crate::runner::{
-    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError,
+    cell, overhead_of, par_cells_journaled, prepare_suite, split_results, CellError, Harness,
     JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// One benchmark row.
 #[derive(Clone, Debug)]
@@ -60,18 +60,25 @@ pub struct Table3 {
 }
 
 /// Runs the experiment, one isolated cell per benchmark.
-pub fn run(scale: Scale) -> Table3 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Table3 {
+    let suite = prepare_suite(h);
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table3/{}", b.name), move || {
-                    let (call_edge, o) =
-                        overhead_of(b, Kinds::CallEdge, Strategy::NoDuplication, Trigger::Never);
+                    let (call_edge, o) = overhead_of(
+                        h,
+                        b,
+                        Kinds::CallEdge,
+                        Strategy::NoDuplication,
+                        Trigger::Never,
+                    );
                     debug_assert!(o.profile.is_empty());
                     let (field_access, _) = overhead_of(
+                        h,
                         b,
                         Kinds::FieldAccess,
                         Strategy::NoDuplication,
@@ -159,7 +166,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&crate::runner::smoke_harness());
         assert_eq!(t.rows.len(), 10);
         // The headline asymmetry: call-edge guards are cheap, field-access
         // guards cost a large fraction of the instrumentation itself.
@@ -184,8 +191,8 @@ mod tests {
         // Paper: "column 2 of Table 3 is identical to column 4 of Table 2"
         // (checks on method entries only). Same configuration here, modulo
         // the hoisting shim; allow a small tolerance.
-        let t3 = run(Scale::Smoke);
-        let t2 = crate::table2::run(Scale::Smoke);
+        let t3 = run(&crate::runner::smoke_harness());
+        let t2 = crate::table2::run(&crate::runner::smoke_harness());
         for (a, b) in t3.rows.iter().zip(&t2.rows) {
             assert!(
                 (a.call_edge - b.entries).abs() < 2.0,

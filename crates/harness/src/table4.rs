@@ -18,9 +18,9 @@ use isf_obs::Json;
 
 use crate::runner::{
     cell, instrument, par_cells_journaled, perfect_profile, prepare_for_runs, prepare_suite,
-    run_prepared_module, split_results, CellError, JournalPayload, Kinds,
+    run_prepared_module, split_results, CellError, Harness, JournalPayload, Kinds,
 };
-use crate::{mean, pct, write_errors, Scale};
+use crate::{mean, pct, write_errors};
 
 /// The sample intervals of the paper's sweep.
 pub const INTERVALS: [u64; 6] = [1, 10, 100, 1_000, 10_000, 100_000];
@@ -55,9 +55,9 @@ pub struct Table4 {
 }
 
 /// Runs the experiment.
-pub fn run(scale: Scale) -> Table4 {
-    let (full_duplication, mut errors) = sweep(scale, Strategy::FullDuplication);
-    let (no_duplication, nd_errors) = sweep(scale, Strategy::NoDuplication);
+pub fn run(h: &Harness) -> Table4 {
+    let (full_duplication, mut errors) = sweep(h, Strategy::FullDuplication);
+    let (no_duplication, nd_errors) = sweep(h, Strategy::NoDuplication);
     errors.extend(nd_errors);
     Table4 {
         full_duplication,
@@ -110,20 +110,21 @@ impl JournalPayload for Vec<Meas> {
     }
 }
 
-fn sweep(scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
-    let suite = prepare_suite(scale);
+fn sweep(h: &Harness, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
+    let suite = prepare_suite(h);
     let benches = &suite.benches;
     // One cell per benchmark: instrument and pre-decode once, then run
     // the whole interval sweep against the decoded form.
     let results = par_cells_journaled(
+        h,
         benches
             .iter()
             .map(|b| {
                 cell(format!("table4/{strategy:?}/{}", b.name), move || {
                     let (module, _, _) =
                         instrument(&b.module, Kinds::Both, &Options::new(strategy));
-                    let perfect = perfect_profile(b, Kinds::Both);
-                    let prepared = prepare_for_runs(&module);
+                    let perfect = perfect_profile(h, b, Kinds::Both);
+                    let prepared = prepare_for_runs(h, &module);
                     // The decoded form is fetched once per cell (shared
                     // through the preparation cache when another cell
                     // already decoded the same module); every run of the
@@ -133,12 +134,13 @@ fn sweep(scale: Scale, strategy: Strategy) -> (Vec<Row>, Vec<CellError>) {
                     // prepare concurrently.
                     let preparations_before = thread_preparations();
                     let framework_cycles =
-                        run_prepared_module(&prepared, Trigger::Never).cycles as f64;
+                        run_prepared_module(h, &prepared, Trigger::Never).cycles as f64;
                     let baseline_cycles = b.baseline.cycles as f64;
                     let meas: Vec<Meas> = INTERVALS
                         .iter()
                         .map(|&interval| {
-                            let o = run_prepared_module(&prepared, Trigger::Counter { interval });
+                            let o =
+                                run_prepared_module(h, &prepared, Trigger::Counter { interval });
                             Meas {
                                 samples: o.samples_taken as f64,
                                 sampled_instr: (o.cycles as f64 - framework_cycles)
@@ -255,7 +257,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&crate::runner::smoke_harness());
         let fd = &t.full_duplication;
         assert_eq!(fd.len(), INTERVALS.len());
 
@@ -300,23 +302,23 @@ mod tests {
         // The determinism contract of the parallel harness: the rendered
         // table — every formatted digit — must not depend on the worker
         // count.
-        let _guard = crate::runner::JOBS_TEST_LOCK.lock().unwrap();
-        crate::runner::set_jobs(1);
-        let serial = run(Scale::Smoke).to_string();
-        crate::runner::set_jobs(4);
-        crate::runner::set_profiling(true);
+        use crate::runner::{smoke_harness_with, OBS_TEST_LOCK};
+        let with_jobs = |jobs| smoke_harness_with(|c| c.jobs = jobs);
+        let serial = run(&with_jobs(1)).to_string();
+        let _guard = OBS_TEST_LOCK.lock().unwrap();
+        isf_obs::metrics::set_enabled(true);
         let hits_before = isf_obs::metrics::snapshot().counter("prep.cache.hits");
-        let parallel = run(Scale::Smoke).to_string();
+        let parallel = run(&with_jobs(4)).to_string();
         let hits_after = isf_obs::metrics::snapshot().counter("prep.cache.hits");
-        crate::runner::set_profiling(false);
-        crate::runner::set_jobs(0);
+        isf_obs::metrics::set_enabled(false);
         assert_eq!(serial, parallel, "table 4 output depends on the job count");
-        // The serial sweep populated the preparation cache, so the repeat
-        // sweep serves its identical (program, plan) decodes from it — and
-        // the registry, enabled around the repeat sweep, counted the hits.
+        // Both sweeps baseline the same suite and profile the same
+        // exhaustive modules, so the second sweep serves those decodes from
+        // the harness's cache — and the registry, enabled around the
+        // parallel run, counted the hits.
         assert!(
             hits_after > hits_before,
-            "repeat sweep should hit the shared preparation cache"
+            "the second sweep should hit the preparation cache"
         );
     }
 }

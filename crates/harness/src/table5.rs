@@ -17,9 +17,9 @@ use isf_obs::Json;
 
 use crate::runner::{
     cell, instrument, par_cells_journaled, perfect_profile, prepare_for_runs, prepare_suite,
-    run_prepared_module, split_results, CellError, JournalPayload, Kinds,
+    run_prepared_module, split_results, CellError, Harness, JournalPayload, Kinds,
 };
-use crate::{mean, write_errors, Scale};
+use crate::{mean, write_errors};
 
 /// One benchmark row.
 #[derive(Clone, Debug)]
@@ -75,39 +75,40 @@ pub struct Table5 {
 /// roughly a hundred samples are taken (the paper's 30,000 at its
 /// benchmark sizes); the timer period is then matched to produce a similar
 /// sample count, mirroring the paper's fair-comparison setup.
-pub fn run(scale: Scale) -> Table5 {
-    let suite = prepare_suite(scale);
+pub fn run(h: &Harness) -> Table5 {
+    let suite = prepare_suite(h);
     let results = par_cells_journaled(
+        h,
         suite
             .benches
             .iter()
             .map(|b| {
                 cell(format!("table5/{}", b.name), move || {
-                    let perfect = perfect_profile(b, Kinds::FieldAccess);
+                    let perfect = perfect_profile(h, b, Kinds::FieldAccess);
                     let (module, _, _) = instrument(
                         &b.module,
                         Kinds::FieldAccess,
                         &Options::new(Strategy::FullDuplication),
                     );
                     // One decode serves the probe, counter and timer runs.
-                    let prepared = prepare_for_runs(&module);
+                    let prepared = prepare_for_runs(h, &module);
                     // Aim for ~120 samples per run. Nudge the interval away
                     // from multiples of small primes so it does not alias
                     // with loop periods — the paper's §4.4 caveat about
                     // deterministic sampling of periodic programs (their
                     // 30,000 is likewise coprime to the benchmarks' loop
                     // lengths).
-                    let probe = run_prepared_module(&prepared, Trigger::Never);
+                    let probe = run_prepared_module(h, &prepared, Trigger::Never);
                     let mut interval = (probe.checks_executed / 120).max(3);
                     while [2, 3, 5, 7].iter().any(|p| interval.is_multiple_of(*p)) {
                         interval += 1;
                     }
-                    let counter = run_prepared_module(&prepared, Trigger::Counter { interval });
+                    let counter = run_prepared_module(h, &prepared, Trigger::Counter { interval });
                     let counter_acc = field_access_overlap(&perfect, &counter.profile);
 
                     // Match the timer's sample count to the counter's.
                     let period = (counter.cycles / counter.samples_taken.max(1)).max(1);
-                    let timer = run_prepared_module(&prepared, Trigger::TimerBit { period });
+                    let timer = run_prepared_module(h, &prepared, Trigger::TimerBit { period });
                     let timer_acc = field_access_overlap(&perfect, &timer.profile);
 
                     Row {
@@ -195,7 +196,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let t = run(Scale::Smoke);
+        let t = run(&crate::runner::smoke_harness());
         assert_eq!(t.rows.len(), 10);
         // The headline: counter-based sampling is more accurate on
         // average when sample counts are matched.

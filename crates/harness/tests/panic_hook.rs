@@ -16,7 +16,7 @@
 use std::panic;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use isf_harness::runner::{cell, par_cells_isolated, CellResult};
+use isf_harness::runner::{cell, par_cells_isolated, CellResult, Harness, HarnessConfig};
 
 static HOOK_A: AtomicU32 = AtomicU32::new(0);
 static HOOK_B: AtomicU32 = AtomicU32::new(0);
@@ -27,6 +27,7 @@ fn probe_panic() {
 
 #[test]
 fn the_cell_hook_is_restored_and_reinstalled_per_group() {
+    let h = Harness::new(HarnessConfig::default());
     let original = panic::take_hook();
     panic::set_hook(Box::new(|_| {
         HOOK_A.fetch_add(1, Ordering::SeqCst);
@@ -34,10 +35,13 @@ fn the_cell_hook_is_restored_and_reinstalled_per_group() {
 
     // Group 1: an in-cell panic is silenced — caught, classified, and
     // never delegated to the installed hook.
-    let results = par_cells_isolated(vec![
-        cell("hook/panics", || -> u64 { panic!("in-cell") }),
-        cell("hook/ok", || 7u64),
-    ]);
+    let results = par_cells_isolated(
+        &h,
+        vec![
+            cell("hook/panics", || -> u64 { panic!("in-cell") }),
+            cell("hook/ok", || 7u64),
+        ],
+    );
     assert!(matches!(results[0], CellResult::Panicked(_)));
     assert!(matches!(results[1], CellResult::Ok(7)));
     assert_eq!(
@@ -62,9 +66,12 @@ fn the_cell_hook_is_restored_and_reinstalled_per_group() {
     panic::set_hook(Box::new(|_| {
         HOOK_B.fetch_add(1, Ordering::SeqCst);
     }));
-    let results = par_cells_isolated(vec![cell("hook/panics-again", || -> u64 {
-        panic!("in-cell, second group")
-    })]);
+    let results = par_cells_isolated(
+        &h,
+        vec![cell("hook/panics-again", || -> u64 {
+            panic!("in-cell, second group")
+        })],
+    );
     assert!(matches!(results[0], CellResult::Panicked(_)));
     assert_eq!(
         HOOK_B.load(Ordering::SeqCst),

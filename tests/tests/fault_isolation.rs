@@ -10,14 +10,13 @@ use std::sync::Mutex;
 use proptest::prelude::*;
 
 use isf_exec::{run, run_naive, run_prepared, ExecLimits, PreparedModule, Trigger, VmConfig};
-use isf_harness::runner::{self, cell, par_cells_isolated, split_results};
+use isf_harness::runner::{self, cell, par_cells_isolated, split_results, Harness, HarnessConfig};
 use isf_integration_tests::compile;
 use isf_integration_tests::program_gen::{render_program, stmt_strategy};
 use isf_obs::emit;
 
-/// Serializes tests that mutate process-global harness state (the jobs
-/// override, the emit mode).
-static GLOBALS: Mutex<()> = Mutex::new(());
+/// Serializes tests that set the process-global emit mode.
+static EMIT_LOCK: Mutex<()> = Mutex::new(());
 
 fn trigger_strategy() -> impl Strategy<Value = Trigger> {
     prop_oneof![
@@ -73,25 +72,29 @@ proptest! {
 
 #[test]
 fn trapping_cell_yields_error_record_while_siblings_complete() {
-    let _guard = GLOBALS.lock().unwrap();
+    let _guard = EMIT_LOCK.lock().unwrap();
     let good = compile("fn main() { var i = 0; while (i < 100) { i = i + 1; } }");
     let bad = compile("fn main() { var x = 1 / 0; }");
     emit::set_mode(emit::EmitMode::Json);
     emit::set_redact(true);
     let run_once = |jobs: usize| {
-        runner::set_jobs(jobs);
+        let h = Harness::new(HarnessConfig {
+            jobs,
+            ..HarnessConfig::default()
+        });
+        let h = &h;
         let cells = vec![
             cell("fault/ok-before", || {
-                runner::run_module(&good, Trigger::Never).cycles
+                runner::run_module(h, &good, Trigger::Never).cycles
             }),
             cell("fault/traps", || {
-                runner::run_module(&bad, Trigger::Never).cycles
+                runner::run_module(h, &bad, Trigger::Never).cycles
             }),
             cell("fault/ok-after", || {
-                runner::run_module(&good, Trigger::Never).cycles
+                runner::run_module(h, &good, Trigger::Never).cycles
             }),
         ];
-        let (oks, errors) = split_results(par_cells_isolated(cells));
+        let (oks, errors) = split_results(par_cells_isolated(h, cells));
         assert_eq!(oks.len(), 2, "sibling cells must complete");
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].label, "fault/traps");
@@ -106,7 +109,6 @@ fn trapping_cell_yields_error_record_while_siblings_complete() {
     };
     let serial = run_once(1);
     let parallel = run_once(4);
-    runner::set_jobs(0);
     emit::set_mode(emit::EmitMode::Off);
     emit::set_redact(false);
     assert_eq!(
@@ -125,13 +127,17 @@ fn trapping_cell_yields_error_record_while_siblings_complete() {
 
 #[test]
 fn budget_capped_cell_is_classified_as_budget_not_trap() {
-    let _guard = GLOBALS.lock().unwrap();
     let spin = compile("fn main() { var i = 0; while (i < 1000000) { i = i + 1; } }");
-    runner::set_cell_budget(500);
-    let results = par_cells_isolated(vec![cell("fault/budget", || {
-        runner::run_module(&spin, Trigger::Never).cycles
-    })]);
-    runner::set_cell_budget(u64::MAX);
+    let h = Harness::new(HarnessConfig {
+        cell_budget: 500,
+        ..HarnessConfig::default()
+    });
+    let results = par_cells_isolated(
+        &h,
+        vec![cell("fault/budget", || {
+            runner::run_module(&h, &spin, Trigger::Never).cycles
+        })],
+    );
     let (oks, errors) = split_results(results);
     assert!(oks.is_empty());
     assert_eq!(errors.len(), 1);
