@@ -3,23 +3,47 @@
 //!
 //! `run_prepared` executes a flattened, pre-resolved instruction arena
 //! (costs folded, branch targets as indices, backedges pre-classified);
-//! with fusion the hot multi-op sequences of that arena collapse into
-//! single superinstructions with pre-summed costs, so the dispatch loop
-//! turns fewer times per simulated instruction. `run_naive` re-reads the
-//! structured IR and re-derives all of that on the fly, per run and per
-//! instruction. All three produce identical outcomes — this bench
-//! measures dispatch cost alone and asserts the two headline claims: the
-//! unfused prepared engine is at least 1.5× the naive one, and fusion is
-//! at least 1.25× on top of it, both on `compress`. The self-profiling
-//! variant (`profiled`, the per-opcode `OpProfile` sink) must stay
-//! within 5% of the untraced fused run.
+//! with fusion, field and method accesses resolve statically and the three
+//! surviving superinstruction templates (DESIGN.md decision 19) collapse
+//! `const; bin` (`bin-imm`), `const; compare; br` (`br-cmp-imm`) and
+//! `const; bin; set-field` (`bin-imm-set-field`) into single dispatches.
+//! `run_naive` re-reads the structured IR and re-derives all of that on
+//! the fly, per run and per instruction. All produce identical outcomes —
+//! this bench measures dispatch cost alone and asserts the two headline
+//! claims: the unfused prepared engine is at least 1.5× the naive one,
+//! and fusion is at least 1.25× on top of it, both on `compress`. The
+//! `templates` rows time a loop built only from the three template shapes,
+//! fused and unfused. The self-profiling variant (`profiled`, the
+//! per-opcode `OpProfile` sink) must stay within 5% of the untraced fused
+//! run.
 
 use criterion::Criterion;
 use isf_bench::{criterion, module};
 use isf_exec::{
-    run_naive, run_prepared, run_prepared_profiled, run_prepared_traced, FuseGuidance, FuseMode,
-    OpProfile, PreparedModule, TraceBuffer, VmConfig,
+    run_naive, run_prepared, run_prepared_profiled, run_prepared_traced, FuseMode, OpProfile,
+    PreparedModule, TraceBuffer, VmConfig,
 };
+
+/// A loop made of exactly the shapes the fusion templates cover: the
+/// header's `i < 20000` (`br-cmp-imm`), `a.total + 3` stored back into
+/// the field (`bin-imm-set-field`), and `i + 1` (`bin-imm`).
+const TEMPLATE_LOOP: &str = "class Acc { field total; }
+     fn main() {
+         var a = new Acc; a.total = 0; var i = 0;
+         while (i < 20000) { a.total = a.total + 3; i = i + 1; }
+         print(a.total);
+     }";
+
+fn templates(c: &mut Criterion) {
+    let cfg = VmConfig::default();
+    let m = isf_frontend::compile(TEMPLATE_LOOP).expect("template loop compiles");
+    for (row, mode) in [("fused", FuseMode::Fuse), ("prepared", FuseMode::Off)] {
+        let p = PreparedModule::prepare_with(&m, &cfg.cost, mode);
+        c.bench_function(format!("interp_dispatch/templates/{row}"), |b| {
+            b.iter(|| run_prepared(&p, &cfg).unwrap())
+        });
+    }
+}
 
 fn dispatch(c: &mut Criterion) {
     let cfg = VmConfig::default();
@@ -29,19 +53,6 @@ fn dispatch(c: &mut Criterion) {
         let unfused = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Off);
         c.bench_function(format!("interp_dispatch/fused/{name}"), |b| {
             b.iter(|| run_prepared(&fused, &cfg).unwrap())
-        });
-        // Profile-guided fusion (the harness's `--pgo` flow): warm the
-        // statically-fused form under the profiled engine, distill the
-        // profile into guidance, and re-prepare. Guided groups only ever
-        // add coverage on top of the catalogue — catalogue matches win
-        // ties in the block partitioner — so this row should sit at or
-        // below the `fused` row, most visibly on call-dense benchmarks.
-        let mut warmup = OpProfile::new();
-        run_prepared_profiled(&fused, &cfg, &mut warmup).unwrap();
-        let guidance = Box::new(FuseGuidance::from_profile(&warmup));
-        let guided = PreparedModule::prepare_with(&m, &cfg.cost, FuseMode::Guided(guidance));
-        c.bench_function(format!("interp_dispatch/guided/{name}"), |b| {
-            b.iter(|| run_prepared(&guided, &cfg).unwrap())
         });
         // `prepared` is the pre-fusion engine (FuseMode::Off), keeping the
         // bench ID comparable with historical runs.
@@ -84,6 +95,7 @@ fn dispatch(c: &mut Criterion) {
 fn main() {
     let mut c = criterion();
     dispatch(&mut c);
+    templates(&mut c);
 
     let fused = c
         .result_ns("interp_dispatch/fused/compress")
@@ -108,6 +120,15 @@ fn main() {
         fusion_speedup >= 1.25,
         "fused dispatch must be >= 1.25x faster than unfused on compress, got {fusion_speedup:.2}x"
     );
+    if let (Some(fused), Some(unfused)) = (
+        c.result_ns("interp_dispatch/templates/fused"),
+        c.result_ns("interp_dispatch/templates/prepared"),
+    ) {
+        println!(
+            "interp_dispatch: fusion is {:.2}x the unfused prepared engine on the template loop",
+            unfused / fused
+        );
+    }
     // The no-trace path is the zero-cost baseline: a live TraceBuffer on a
     // sample-free run should cost within noise of it (the recording sites
     // compile out entirely when the sink is NoTrace).

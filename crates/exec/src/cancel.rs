@@ -6,7 +6,7 @@
 //! not preemption. The prepared engine polls at block entries (the same
 //! control-transfer funnel the profiler counts flow at), the naive engine
 //! every [`NAIVE_POLL_INTERVAL`] dispatches, so a cancelled run stops at
-//! the next control transfer — fused, guided, unfused and naive alike —
+//! the next control transfer — fused, unfused and naive alike —
 //! and unwinds through the ordinary trap path with an accurate partial
 //! profile.
 //!

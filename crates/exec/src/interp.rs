@@ -26,7 +26,7 @@ use crate::cost::CostModel;
 use crate::error::{TrapKind, VmError};
 use crate::heap::Heap;
 use crate::outcome::Outcome;
-use crate::prepared::{InstrEffect, Op, OpKind, PreparedFunction, PreparedModule};
+use crate::prepared::{Op, OpKind, PreparedFunction, PreparedModule};
 use crate::profile::{NoMetrics, ProfileSink};
 use crate::sched::SchedControl;
 use crate::trace::{BurstRecord, NoTrace, TraceSink};
@@ -1191,12 +1191,10 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     ip += 1;
                 }
                 OpKind::PathIncr { delta } => {
-                    // `delta` may be the pre-folded sum of a fused run; the
-                    // width then advances past the whole run's slots.
                     if let Some(r) = frames.last_mut().and_then(|f| f.path_reg.as_mut()) {
                         *r += *delta;
                     }
-                    ip += w;
+                    ip += 1;
                 }
                 OpKind::PathEnd { site } => {
                     if let Some(id) = frames.last_mut().and_then(|f| f.path_reg.take()) {
@@ -1217,60 +1215,20 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     ip += 1;
                 }
                 // Fused superinstructions: each arm replays its group's
-                // original effects in order under one dispatch. The group
-                // cost was charged up front (sound because only the final
-                // effectful component can trap); the arms with later
-                // trap-capable components charge their `extra`/`branch`
-                // halves mid-arm to keep fuel traps on the unfused
-                // schedule.
-                OpKind::BinImm(g) => {
-                    locals[g.tmp.index()] = g.imm;
-                    locals[g.dst.index()] = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    ip += w;
-                }
-                OpKind::ArrayGetImm { dst, arr, tmp, idx } => {
-                    locals[tmp.index()] = Value::I64(*idx);
-                    let v = tri!(self.heap.array_get(locals[arr.index()], *idx));
-                    locals[dst.index()] = Value::I64(v);
-                    ip += w;
-                }
-                OpKind::ArraySetImm { arr, tmp, idx, src } => {
-                    locals[tmp.index()] = Value::I64(*idx);
-                    let v = tri!(locals[src.index()].as_i64());
-                    tri!(self.heap.array_set(locals[arr.index()], *idx, v));
-                    ip += w;
-                }
-                OpKind::ArraySetImm2(g) => {
-                    locals[g.tmp.index()] = Value::I64(g.idx);
-                    locals[g.src_tmp.index()] = g.src;
-                    let v = tri!(g.src.as_i64());
-                    tri!(self.heap.array_set(locals[g.arr.index()], g.idx, v));
-                    ip += w;
-                }
-                OpKind::GetFieldBin(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    locals[g.dst.index()] = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    ip += w;
-                }
-                OpKind::BinSetField(g) => {
-                    let v = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    locals[g.dst.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] = v;
+                // original effects in order under one dispatch. `Op::cost`
+                // was charged up front; the arms whose later components
+                // follow a trap-capable one charge their `extra` half
+                // mid-arm to keep fuel traps on the unfused schedule.
+                OpKind::BinImm {
+                    op,
+                    dst,
+                    src,
+                    tmp,
+                    imm,
+                } => {
+                    locals[tmp.index()] = Value::I64(*imm);
+                    locals[dst.index()] =
+                        tri!(Value::binary(*op, locals[src.index()], Value::I64(*imm)));
                     ip += w;
                 }
                 OpKind::BinImmSetField(g) => {
@@ -1285,89 +1243,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] = v;
                     ip += w;
                 }
-                OpKind::GetFieldBinImm(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    locals[g.ctmp.index()] = g.imm;
-                    locals[g.dst.index()] = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    ip += w;
-                }
-                OpKind::GetFieldBinImmSetField(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    locals[g.ctmp.index()] = g.imm;
-                    let v = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    locals[g.dst.index()] = v;
-                    tri!(self.charge_cycles(g.extra2));
-                    tri!(self.heap.object_mut(locals[g.sobj.index()])).fields[g.soffset as usize] =
-                        v;
-                    ip += w;
-                }
-                OpKind::ConstSetField(g) => {
-                    locals[g.tmp.index()] = g.imm;
-                    tri!(self.heap.object_mut(locals[g.obj.index()])).fields[g.offset as usize] =
-                        g.imm;
-                    ip += w;
-                }
-                OpKind::GetFieldBrCmp(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    let v = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    locals[g.dst.index()] = v;
-                    tri!(self.charge_cycles(g.branch));
-                    // A successful comparison always yields a bool, so this
-                    // is the `as_bool` of the unfused g.branch, trap-free.
-                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
-                }
-                OpKind::GetFieldArrayGet(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    let i = tri!(v.as_i64());
-                    let v = tri!(self.heap.array_get(locals[g.arr.index()], i));
-                    locals[g.dst.index()] = Value::I64(v);
-                    ip += w;
-                }
-                OpKind::GetFieldArraySet(g) => {
-                    let v = tri!(self.heap.object(locals[g.obj.index()])).fields[g.offset as usize];
-                    locals[g.tmp.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    let i = tri!(v.as_i64());
-                    let v = tri!(locals[g.src.index()].as_i64());
-                    tri!(self.heap.array_set(locals[g.arr.index()], i, v));
-                    ip += w;
-                }
-                OpKind::MoveRun { moves } => {
-                    for (dst, src) in moves.iter() {
-                        locals[dst.index()] = locals[src.index()];
-                    }
-                    ip += w;
-                }
-                OpKind::BrCmp(g) => {
-                    let v = tri!(Value::binary(
-                        g.op,
-                        locals[g.lhs.index()],
-                        locals[g.rhs.index()]
-                    ));
-                    locals[g.dst.index()] = v;
-                    tri!(self.charge_cycles(g.extra));
-                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
-                }
                 OpKind::BrCmpImm(g) => {
                     locals[g.tmp.index()] = g.imm;
                     let v = tri!(Value::binary(
@@ -1377,56 +1252,13 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
                     ));
                     locals[g.dst.index()] = v;
                     tri!(self.charge_cycles(g.extra));
-                    enter!(if v == Value::Bool(true) { g.t } else { g.f });
-                }
-                OpKind::JumpInstr { target, effects } => {
-                    enter!(*target);
-                    for e in effects.iter() {
-                        match e {
-                            InstrEffect::CallEdge => {
-                                if let Some((caller, site)) = frames.last().and_then(|f| f.caller) {
-                                    self.profile.record_call_edge(caller, site, func);
-                                }
-                            }
-                            InstrEffect::BlockCount(b) => self.profile.record_block(func, *b),
-                            InstrEffect::EdgeCount(from, to) => {
-                                self.profile.record_edge(func, *from, *to);
-                            }
-                        }
-                    }
-                }
-                OpKind::Guided { steps, .. } => {
-                    // The generalized profile-guided group: charge and
-                    // execute per component (the up-front charge covered
-                    // `steps[0]`), so budget traps, timer ticks and
-                    // threadswitch catch-ups land at exactly the unfused
-                    // positions for any component mix. Only the final step
-                    // may be a call; it resumes past the whole group.
-                    let (last, body) = steps.split_last().expect("guided group is non-empty");
-                    debug_assert!(!body.is_empty(), "guided groups have two or three steps");
-                    for (k, (cost, step)) in body.iter().enumerate() {
-                        if k > 0 {
-                            tri!(self.charge_cycles(*cost));
-                        }
-                        tri!(self.exec_component(locals, step));
-                    }
-                    tri!(self.charge_cycles(last.0));
-                    match &last.1 {
-                        OpKind::Call(g) => {
-                            call!(g.callee, None, g.args, g.dst, g.site, ip + w)
-                        }
-                        OpKind::CallMethodStatic(g) => {
-                            let o = locals[g.obj.index()];
-                            // Target and arity verified at prepare time;
-                            // the receiver still null/type-checks.
-                            tri!(self.heap.object(o));
-                            call!(g.callee, Some(o), g.args, g.dst, g.site, ip + w);
-                        }
-                        step => {
-                            tri!(self.exec_component(locals, step));
-                            ip += w;
-                        }
-                    }
+                    // A successful comparison always yields a bool, so this
+                    // is the `as_bool` of the unfused branch, trap-free.
+                    enter!(if matches!(v, Value::Bool(true)) {
+                        g.t
+                    } else {
+                        g.f
+                    });
                 }
                 OpKind::Gap => unreachable!("fusion gap slots are never executed"),
                 // Terminators (inlined into the arena as the block's last op).
@@ -1505,44 +1337,6 @@ impl<'p, 's, S: TraceSink, P: ProfileSink> Machine<'p, 's, S, P> {
         t.frames = frames;
         t.stack = stack;
         result
-    }
-
-    /// Executes one non-call component of a [`OpKind::Guided`] group (the
-    /// guided-eligible plain ops) on the running frame's `locals`.
-    #[inline]
-    fn exec_component(&mut self, locals: &mut [Value], kind: &OpKind) -> Result<(), TrapKind> {
-        match kind {
-            OpKind::Const { dst, value } => locals[dst.index()] = *value,
-            OpKind::Move { dst, src } => locals[dst.index()] = locals[src.index()],
-            OpKind::Un { op, dst, src } => {
-                locals[dst.index()] = Value::unary(*op, locals[src.index()])?;
-            }
-            OpKind::Bin { op, dst, lhs, rhs } => {
-                locals[dst.index()] = Value::binary(*op, locals[lhs.index()], locals[rhs.index()])?;
-            }
-            OpKind::GetFieldStatic { dst, obj, offset } => {
-                locals[dst.index()] =
-                    self.heap.object(locals[obj.index()])?.fields[*offset as usize];
-            }
-            OpKind::SetFieldStatic { obj, offset, src } => {
-                let v = locals[src.index()];
-                self.heap.object_mut(locals[obj.index()])?.fields[*offset as usize] = v;
-            }
-            OpKind::ArrayGet { dst, arr, idx } => {
-                let i = locals[idx.index()].as_i64()?;
-                locals[dst.index()] = Value::I64(self.heap.array_get(locals[arr.index()], i)?);
-            }
-            OpKind::ArraySet { arr, idx, src } => {
-                let i = locals[idx.index()].as_i64()?;
-                let v = locals[src.index()].as_i64()?;
-                self.heap.array_set(locals[arr.index()], i, v)?;
-            }
-            OpKind::ArrayLen { dst, arr } => {
-                locals[dst.index()] = Value::I64(self.heap.array_len(locals[arr.index()])?);
-            }
-            other => unreachable!("non-guided-eligible component {other:?} in guided group"),
-        }
-        Ok(())
     }
 }
 

@@ -66,11 +66,8 @@ pub use interp::{
 };
 pub use naive::{run_naive, run_naive_profiled, run_naive_sched, run_naive_traced};
 pub use outcome::{Outcome, ZeroCycleBaseline};
-pub use prepared::{
-    fuse_mode, mine_hot_sequences, preparations, thread_preparations, FuseMode, HotSequence,
-    PreparedModule,
-};
-pub use profile::{FuseGuidance, NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
+pub use prepared::{fuse_mode, preparations, thread_preparations, FuseMode, PreparedModule};
+pub use profile::{NoMetrics, OpProfile, ProfileSink, NUM_OPCODES, OPCODE_NAMES};
 pub use sched::{SchedChoice, SchedControl, SchedPolicy, ScheduleTrace};
 pub use trace::{BurstRecord, NoTrace, TraceBuffer, TraceSink};
 pub use trigger::Trigger;

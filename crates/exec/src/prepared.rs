@@ -38,7 +38,6 @@ use isf_ir::{
 };
 
 use crate::cost::CostModel;
-use crate::profile::{FuseGuidance, OPCODE_NAMES};
 use crate::value::Value;
 
 /// Process-wide count of [`PreparedModule::prepare`] calls, used by the
@@ -70,26 +69,13 @@ pub fn thread_preparations() -> u64 {
 /// output, cycle counts, traps and profiles — only wall-clock time
 /// changes. [`FuseMode::Off`] keeps the unfused pipeline alive as an
 /// escape hatch and differential-testing baseline.
-#[derive(Clone, PartialEq, Eq, Debug)]
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
 pub enum FuseMode {
     /// Decode only, exactly the pre-fusion pipeline.
     Off,
     /// Decode, then peephole-fuse superinstructions and statically resolve
     /// field slots and method targets (the default).
     Fuse,
-    /// [`FuseMode::Fuse`] plus a profile-guided pass: a per-block dynamic
-    /// program over the warmup weights in the carried [`FuseGuidance`]
-    /// re-partitions each block so that (a) catalogue templates apply
-    /// where the greedy left-to-right pass consumed their prefix for a
-    /// lesser match, and (b) hot sequences the fixed catalogue cannot
-    /// express (call-adjacent moves, getfield chains feeding calls,
-    /// arg-marshalling runs) fuse into the generalized
-    /// `OpKind::Guided` template. Observably identical to `Off`/`Fuse`:
-    /// guided groups charge per component, so cycles, traps and profiles
-    /// stay on the unfused schedule. Boxed: the weight table is ~264
-    /// bytes, and the common `Off`/`Fuse` values should stay
-    /// pointer-sized.
-    Guided(Box<FuseGuidance>),
 }
 
 /// The fuse mode [`PreparedModule::prepare`] resolves to: [`FuseMode::Off`]
@@ -98,11 +84,10 @@ pub enum FuseMode {
 /// the pipeline pass a mode to [`PreparedModule::prepare_with`] instead.
 pub fn fuse_mode() -> FuseMode {
     static ENV: OnceLock<FuseMode> = OnceLock::new();
-    ENV.get_or_init(|| match std::env::var("ISF_FUSE").ok().as_deref() {
+    *ENV.get_or_init(|| match std::env::var("ISF_FUSE").ok().as_deref() {
         Some("0") | Some("off") | Some("false") => FuseMode::Off,
         _ => FuseMode::Fuse,
     })
-    .clone()
 }
 
 /// One decoded operation: its pre-folded cycle cost plus the decoded form.
@@ -111,13 +96,14 @@ pub(crate) struct Op {
     /// Cycles charged when this op executes (the check's sample-switch
     /// surcharge is the one cost still applied conditionally at runtime).
     /// For a fused superinstruction this is the summed cost of the whole
-    /// group (except the branch half of `BrCmp`/`BrCmpImm`, charged by the
-    /// arm after the compare so budget traps land exactly where the
-    /// unfused sequence would put them).
+    /// group up to and including its first component that can trap; the
+    /// rest rides in the variant's `extra` field, charged by the arm after
+    /// that component executes, so budget traps land exactly where the
+    /// unfused sequence would put them.
     pub(crate) cost: u64,
     /// Source instructions this op accounts for: 1 for a plain op, the
-    /// group size for a fused superinstruction. Sequential flow advances
-    /// `ip` by this amount, skipping the inert [`OpKind::Gap`] fillers.
+    /// group size for a fused superinstruction, which advances `ip` past
+    /// the group's inert [`OpKind::Gap`] fillers.
     pub(crate) width: u32,
     pub(crate) kind: OpKind,
 }
@@ -267,80 +253,28 @@ pub(crate) enum OpKind {
         sample_backedge: bool,
         cont_backedge: bool,
     },
-    // Fused superinstructions (built only under `FuseMode::Fuse`). Each
-    // replaces its group's first arena slot; the interior slots become
-    // inert `Gap` fillers so every arena index — branch targets, trace
-    // `check_ip`s — is preserved. A fused group never contains a `Check`,
-    // a `Yield`, a backedge, or (except as the final component) an op
-    // that can trap, which is what makes the single up-front charge of
-    // the summed cost observably identical to charging per op.
-    /// `tmp = imm; dst = lhs op rhs`; operands boxed in [`BinImm`].
-    BinImm(Box<BinImm>),
-    /// Compare and branch on the result; operands boxed in [`BrCmp`].
-    BrCmp(Box<BrCmp>),
+    // Fused superinstructions (built only under `FuseMode::Fuse`): the
+    // three templates that measurably pay on the call-free dispatch loop
+    // (DESIGN.md decision 19). Each replaces its group's first arena slot;
+    // the interior slots become inert `Gap` fillers so every arena index
+    // — branch targets, trace `check_ip`s — is preserved. A fused group
+    // never contains a `Check`, a `Yield` or a backedge, which is what
+    // makes charging the group under one dispatch observably identical
+    // to charging per op.
+    /// `tmp = imm; dst = src op tmp` — an integer constant as the right
+    /// operand, held inline (no boxed operands: the most frequent fused
+    /// dispatch pays no extra load).
+    BinImm {
+        op: BinOp,
+        dst: LocalId,
+        src: LocalId,
+        tmp: LocalId,
+        imm: i64,
+    },
     /// Constant, compare and branch; operands boxed in [`BrCmpImm`].
     BrCmpImm(Box<BrCmpImm>),
-    /// `tmp = idx; dst = arr[idx]` with an integer-constant index.
-    ArrayGetImm {
-        dst: LocalId,
-        arr: LocalId,
-        tmp: LocalId,
-        idx: i64,
-    },
-    /// `tmp = idx; arr[idx] = src` with an integer-constant index.
-    ArraySetImm {
-        arr: LocalId,
-        tmp: LocalId,
-        idx: i64,
-        src: LocalId,
-    },
-    /// `a[K] = V` with both constants; operands boxed in [`ArraySetImm2`].
-    ArraySetImm2(Box<ArraySetImm2>),
-    /// Field load feeding a binary op; operands boxed in [`GetFieldBin`].
-    GetFieldBin(Box<GetFieldBin>),
-    /// Binary op stored into a field; operands boxed in [`BinSetField`].
-    BinSetField(Box<BinSetField>),
     /// Constant-operand binary op stored into a field; operands boxed in [`BinImmSetField`].
     BinImmSetField(Box<BinImmSetField>),
-    /// Field load combined with a constant; operands boxed in [`GetFieldBinImm`].
-    GetFieldBinImm(Box<GetFieldBinImm>),
-    /// Field update with a constant operand; operands boxed in [`GetFieldBinImmSetField`].
-    GetFieldBinImmSetField(Box<GetFieldBinImmSetField>),
-    /// Constant stored into a field; operands boxed in [`ConstSetField`].
-    ConstSetField(Box<ConstSetField>),
-    /// Field load, compare and branch; operands boxed in [`GetFieldBrCmp`].
-    GetFieldBrCmp(Box<GetFieldBrCmp>),
-    /// Field-indexed array load; operands boxed in [`GetFieldArrayGet`].
-    GetFieldArrayGet(Box<GetFieldArrayGet>),
-    /// Field-indexed array store; operands boxed in [`GetFieldArraySet`].
-    GetFieldArraySet(Box<GetFieldArraySet>),
-    /// A run of two or more consecutive `Move`s, executed in order under
-    /// one dispatch.
-    MoveRun {
-        moves: Box<[(LocalId, LocalId)]>,
-    },
-    /// A non-backedge `Jump` that pre-executes the target block's leading
-    /// run of side-effect-only instrumentation ops and lands past them.
-    /// The target's own slots stay live for its other predecessors.
-    JumpInstr {
-        target: u32,
-        effects: Box<[InstrEffect]>,
-    },
-    /// The generalized profile-guided template ([`FuseMode::Guided`]): a
-    /// mined run of two or three plain components executed under one
-    /// dispatch. Unlike the fixed catalogue above, every component's cost
-    /// is charged individually — [`Op::cost`] carries only the first
-    /// component's, the rest are charged mid-arm — so
-    /// charge/execute interleaving, traps, timer ticks and switch-bit
-    /// catch-ups are positionally identical to the unfused sequence for
-    /// *any* component mix, including components that trap mid-group.
-    /// Components are plain ops from the guided-eligible set
-    /// (const/move/un/bin, statically resolved field accesses, array ops),
-    /// with a direct or static-method call allowed as the final component.
-    Guided {
-        /// `(cost, component)` per source instruction, in order.
-        steps: Box<[(u64, OpKind)]>,
-    },
     /// An inert filler occupying the interior slot of a fused group.
     /// Unreachable: sequential flow skips it via the leader's width, and
     /// branch targets only ever point at block starts.
@@ -387,35 +321,12 @@ pub(crate) struct Spawn {
     pub(crate) args: Box<[LocalId]>,
 }
 
-/// `tmp = imm; dst = lhs op rhs` (a `Const` feeding a `Bin`).
-#[derive(Clone, Debug)]
-pub(crate) struct BinImm {
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) tmp: LocalId,
-    pub(crate) imm: Value,
-}
-
-/// A comparison `Bin` feeding the block's `Br`: branch straight on the
-/// comparison without a separate dispatch for the bool. `extra` is the
-/// branch's cost, charged after the compare executes so a fuel trap
-/// lands between the two exactly as in the unfused sequence. Backedge
-/// branches are never fused, so no backedge flags are needed.
-#[derive(Clone, Debug)]
-pub(crate) struct BrCmp {
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) extra: u64,
-    pub(crate) t: u32,
-    pub(crate) f: u32,
-}
-
 /// `Const` + comparison-`Bin` + `Br` — the dominant tight-loop shape
-/// (`while (i < n)` against a literal bound).
+/// (`while (i < n)` against a literal bound). [`Op::cost`] folds the
+/// constant and the compare; `extra` is the branch's cost, charged after
+/// the compare executes so a fuel trap lands between the two exactly as
+/// in the unfused sequence. Backedge branches are never fused, so no
+/// backedge flags are needed.
 #[derive(Clone, Debug)]
 pub(crate) struct BrCmpImm {
     pub(crate) op: BinOp,
@@ -427,50 +338,6 @@ pub(crate) struct BrCmpImm {
     pub(crate) extra: u64,
     pub(crate) t: u32,
     pub(crate) f: u32,
-}
-
-/// `tmp = idx; src_tmp = src; arr[idx] = src` — both the index and
-/// the stored value are constants (the frontend lowers `a[1] = 5;`
-/// this way, with the value's `Const` between the index's and the
-/// store).
-#[derive(Clone, Debug)]
-pub(crate) struct ArraySetImm2 {
-    pub(crate) arr: LocalId,
-    pub(crate) tmp: LocalId,
-    pub(crate) idx: i64,
-    pub(crate) src_tmp: LocalId,
-    pub(crate) src: Value,
-}
-
-/// `tmp = obj.field; dst = lhs <op> rhs` where the load feeds one
-/// operand. Both halves can trap, so only the load's cost is folded
-/// into [`Op::cost`]; `extra` (the binary op's cost) is charged by the
-/// arm between the halves, exactly where the unfused dispatch would
-/// charge it.
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldBin {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) extra: u64,
-}
-
-/// `dst = lhs <op> rhs; obj.field = dst` — a computed value stored
-/// straight into a field. `extra` is the store's cost, charged after
-/// the binary op executes.
-#[derive(Clone, Debug)]
-pub(crate) struct BinSetField {
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) extra: u64,
 }
 
 /// `tmp = imm; dst = lhs <op> rhs; obj.field = dst` — the full
@@ -487,103 +354,6 @@ pub(crate) struct BinImmSetField {
     pub(crate) imm: Value,
     pub(crate) obj: LocalId,
     pub(crate) offset: u32,
-    pub(crate) extra: u64,
-}
-
-/// `tmp = obj.field; ctmp = imm; dst = lhs <op> rhs` — a field load
-/// combined with a constant (`self.hash * 31`). `extra` folds the
-/// constant's and the binary op's costs (the constant can't trap, so
-/// the two charges merge), charged after the load executes.
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldBinImm {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) ctmp: LocalId,
-    pub(crate) imm: Value,
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) extra: u64,
-}
-
-/// `tmp = obj.field; ctmp = imm; dst = lhs <op> rhs; sobj.sfield =
-/// dst` — a whole field update with a constant operand
-/// (`self.pos = self.pos + 1`). `extra` folds the constant's and the
-/// binary op's costs (charged after the load), `extra2` is the
-/// store's cost (charged after the binary op).
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldBinImmSetField {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) ctmp: LocalId,
-    pub(crate) imm: Value,
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) sobj: LocalId,
-    pub(crate) soffset: u32,
-    pub(crate) extra: u64,
-    pub(crate) extra2: u64,
-}
-
-/// `tmp = imm; obj.field = tmp` — a constant stored into a field
-/// (`self.run = 0`). Only the final store can trap, so the whole
-/// cost folds into [`Op::cost`].
-#[derive(Clone, Debug)]
-pub(crate) struct ConstSetField {
-    pub(crate) tmp: LocalId,
-    pub(crate) imm: Value,
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-}
-
-/// `tmp = obj.field; dst = lhs <op> rhs; br dst ? t : f` — the
-/// field-loaded compare-and-branch of a loop header
-/// (`while (self.pos < stop)`). Three trap/charge points, so the
-/// compare's cost (`extra`) and the branch's cost (`branch`) are both
-/// charged separately at their unfused positions. Only built when
-/// neither edge is a backedge.
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldBrCmp {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) op: BinOp,
-    pub(crate) dst: LocalId,
-    pub(crate) lhs: LocalId,
-    pub(crate) rhs: LocalId,
-    pub(crate) extra: u64,
-    pub(crate) branch: u64,
-    pub(crate) t: u32,
-    pub(crate) f: u32,
-}
-
-/// `tmp = obj.field; dst = arr[tmp]` — a field-indexed array load
-/// (`data[self.pos]`). `extra` is the load's cost, charged between
-/// the halves.
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldArrayGet {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) dst: LocalId,
-    pub(crate) arr: LocalId,
-    pub(crate) extra: u64,
-}
-
-/// `tmp = obj.field; arr[tmp] = src` — a field-indexed array store
-/// (`out[self.pos] = b`). `extra` is the store's cost.
-#[derive(Clone, Debug)]
-pub(crate) struct GetFieldArraySet {
-    pub(crate) obj: LocalId,
-    pub(crate) offset: u32,
-    pub(crate) tmp: LocalId,
-    pub(crate) arr: LocalId,
-    pub(crate) src: LocalId,
     pub(crate) extra: u64,
 }
 
@@ -630,29 +400,14 @@ impl OpKind {
             OpKind::SetFieldStatic { .. } => OPC_SET_FIELD_STATIC,
             OpKind::CallMethodStatic { .. } => OPC_CALL_METHOD_STATIC,
             OpKind::BinImm { .. } => OPC_BIN_IMM,
-            OpKind::BrCmp { .. } => OPC_BR_CMP,
             OpKind::BrCmpImm { .. } => OPC_BR_CMP_IMM,
-            OpKind::ArrayGetImm { .. } => OPC_ARRAY_GET_IMM,
-            OpKind::ArraySetImm { .. } => OPC_ARRAY_SET_IMM,
-            OpKind::ArraySetImm2 { .. } => OPC_ARRAY_SET_IMM2,
-            OpKind::ConstSetField { .. } => OPC_CONST_SET_FIELD,
-            OpKind::GetFieldBin { .. } => OPC_GET_FIELD_BIN,
-            OpKind::BinSetField { .. } => OPC_BIN_SET_FIELD,
             OpKind::BinImmSetField { .. } => OPC_BIN_IMM_SET_FIELD,
-            OpKind::GetFieldBinImm { .. } => OPC_GET_FIELD_BIN_IMM,
-            OpKind::GetFieldBinImmSetField { .. } => OPC_GET_FIELD_BIN_IMM_SET_FIELD,
-            OpKind::GetFieldBrCmp { .. } => OPC_GET_FIELD_BR_CMP,
-            OpKind::GetFieldArrayGet { .. } => OPC_GET_FIELD_ARRAY_GET,
-            OpKind::GetFieldArraySet { .. } => OPC_GET_FIELD_ARRAY_SET,
-            OpKind::MoveRun { .. } => OPC_MOVE_RUN,
-            OpKind::JumpInstr { .. } => OPC_JUMP_INSTR,
-            OpKind::Guided { .. } => OPC_GUIDED,
             OpKind::Gap => OPC_GAP,
         }
     }
 
     /// Cycles this op charges *beyond* [`Op::cost`] when it runs to
-    /// completion: the mid-arm `extra`/`branch` charges of the fused
+    /// completion: the mid-arm `extra` charges of the fused
     /// superinstructions whose components trap independently. Together
     /// with [`Op::cost`] this is the exact per-dispatch charge of every
     /// completed dispatch (the check's sample-switch surcharge, applied
@@ -661,17 +416,8 @@ impl OpKind {
     /// from bare slot execution counts after the run.
     pub(crate) fn extra_cycles(&self) -> u64 {
         match self {
-            OpKind::BrCmp(g) => g.extra,
             OpKind::BrCmpImm(g) => g.extra,
-            OpKind::GetFieldBin(g) => g.extra,
-            OpKind::BinSetField(g) => g.extra,
             OpKind::BinImmSetField(g) => g.extra,
-            OpKind::GetFieldBinImm(g) => g.extra,
-            OpKind::GetFieldArrayGet(g) => g.extra,
-            OpKind::GetFieldArraySet(g) => g.extra,
-            OpKind::GetFieldBinImmSetField(g) => g.extra + g.extra2,
-            OpKind::GetFieldBrCmp(g) => g.extra + g.branch,
-            OpKind::Guided { steps } => steps[1..].iter().map(|(c, _)| c).sum(),
             _ => 0,
         }
     }
@@ -694,38 +440,9 @@ impl Op {
             _ => cm.alu,
         };
         let q = match &self.kind {
-            OpKind::BinImm(g) => vec![vec![cm.alu, bin(&g.op)]],
-            OpKind::BrCmp(g) => vec![vec![bin(&g.op)], vec![g.extra]],
+            OpKind::BinImm { op, .. } => vec![vec![cm.alu, bin(op)]],
             OpKind::BrCmpImm(g) => vec![vec![cm.alu, bin(&g.op)], vec![g.extra]],
-            OpKind::ArrayGetImm { .. } | OpKind::ArraySetImm { .. } => {
-                vec![vec![cm.alu, cm.array_access]]
-            }
-            OpKind::ArraySetImm2(_) => vec![vec![cm.alu, cm.alu, cm.array_access]],
-            OpKind::ConstSetField(_) => vec![vec![cm.alu, cm.field_access]],
-            OpKind::GetFieldBin(g) => vec![vec![self.cost], vec![g.extra]],
-            OpKind::BinSetField(g) => vec![vec![self.cost], vec![g.extra]],
             OpKind::BinImmSetField(g) => vec![vec![cm.alu, bin(&g.op)], vec![g.extra]],
-            OpKind::GetFieldBinImm(g) => vec![vec![self.cost], vec![cm.alu, bin(&g.op)]],
-            OpKind::GetFieldBinImmSetField(g) => {
-                vec![vec![self.cost], vec![cm.alu, bin(&g.op)], vec![g.extra2]]
-            }
-            OpKind::GetFieldBrCmp(g) => vec![vec![self.cost], vec![g.extra], vec![g.branch]],
-            OpKind::GetFieldArrayGet(g) => vec![vec![self.cost], vec![g.extra]],
-            OpKind::GetFieldArraySet(g) => vec![vec![self.cost], vec![g.extra]],
-            OpKind::MoveRun { moves } => vec![vec![cm.alu; moves.len()]],
-            OpKind::PathIncr { .. } if self.width > 1 => {
-                vec![vec![cm.instr_path_arith; self.width as usize]]
-            }
-            OpKind::JumpInstr { effects, .. } => {
-                let mut q = vec![cm.jump];
-                q.extend(effects.iter().map(|ef| match ef {
-                    InstrEffect::CallEdge => cm.instr_call_edge,
-                    InstrEffect::BlockCount(_) => cm.instr_block_count,
-                    InstrEffect::EdgeCount(..) => cm.instr_edge_count,
-                }));
-                vec![q]
-            }
-            OpKind::Guided { steps, .. } => steps.iter().map(|(c, _)| vec![*c]).collect(),
             _ => vec![vec![self.cost]],
         };
         debug_assert_eq!(
@@ -740,18 +457,6 @@ impl Op {
         );
         q
     }
-}
-
-/// A profiling side effect absorbed into a [`OpKind::JumpInstr`]. Only
-/// trap-free, operand-free ops qualify.
-#[derive(Copy, Clone, Debug)]
-pub(crate) enum InstrEffect {
-    /// Record a (caller, site, callee) call edge from the current frame.
-    CallEdge,
-    /// Record one execution of an original block.
-    BlockCount(BlockId),
-    /// Record one traversal of an original CFG edge.
-    EdgeCount(BlockId, BlockId),
 }
 
 /// One function flattened into a contiguous op arena. The entry point is
@@ -770,9 +475,8 @@ pub(crate) struct PreparedFunction {
     /// counts back into per-opcode totals after the run.
     pub(crate) slot_base: u32,
     /// Arena offset of each block, in layout order (`block_starts[0] == 0`).
-    /// Control only ever enters a block at its start (or, for
-    /// [`OpKind::JumpInstr`], at a recorded mid-block landing slot), and
-    /// only ever leaves through its final op — which is what lets the
+    /// Control only ever enters a block at its start and only ever leaves
+    /// through its final op — which is what lets the
     /// profiled engine reconstruct exact per-slot execution counts from
     /// per-entry counts by a prefix sum that resets at these boundaries.
     pub(crate) block_starts: Vec<u32>,
@@ -811,10 +515,10 @@ struct Statics {
 }
 
 impl Statics {
-    fn resolve(module: &Module, mode: &FuseMode) -> Self {
+    fn resolve(module: &Module, mode: FuseMode) -> Self {
         let num_fields = module.num_field_syms();
         let num_methods = module.num_method_syms();
-        if matches!(mode, FuseMode::Off) || module.num_classes() == 0 {
+        if mode == FuseMode::Off || module.num_classes() == 0 {
             return Statics {
                 field_slots: vec![None; num_fields],
                 method_targets: vec![None; num_methods],
@@ -860,12 +564,12 @@ impl PreparedModule {
     pub fn prepare_with(module: &Module, cost: &CostModel, mode: FuseMode) -> Self {
         PREPARATIONS.fetch_add(1, Ordering::Relaxed);
         THREAD_PREPARATIONS.with(|c| c.set(c.get() + 1));
-        let statics = Statics::resolve(module, &mode);
+        let statics = Statics::resolve(module, mode);
         let mut slot_base = 0u32;
         let funcs: Vec<PreparedFunction> = module
             .functions()
             .map(|(_, f)| {
-                let mut pf = prepare_function(module, f, cost, &mode, &statics);
+                let mut pf = prepare_function(module, f, cost, mode, &statics);
                 pf.slot_base = slot_base;
                 slot_base += pf.ops.len() as u32;
                 pf
@@ -919,17 +623,6 @@ impl PreparedModule {
         self.funcs.iter().map(|f| f.fused).sum()
     }
 
-    /// Fused groups using the generalized `OpKind::Guided` template (a
-    /// subset of [`PreparedModule::num_fused`]; 0 unless prepared under
-    /// [`FuseMode::Guided`]).
-    pub fn num_guided(&self) -> usize {
-        self.funcs
-            .iter()
-            .flat_map(|f| f.ops.iter())
-            .filter(|o| matches!(o.kind, OpKind::Guided { .. }))
-            .count()
-    }
-
     #[inline]
     pub(crate) fn func(&self, id: FuncId) -> &PreparedFunction {
         &self.funcs[id.index()]
@@ -969,7 +662,7 @@ fn prepare_function(
     module: &Module,
     f: &Function,
     cost: &CostModel,
-    mode: &FuseMode,
+    mode: FuseMode,
     statics: &Statics,
 ) -> PreparedFunction {
     let back: HashSet<(BlockId, BlockId)> = loops::backedges(f).into_iter().collect();
@@ -988,22 +681,14 @@ fn prepare_function(
         }
         ops.push(decode_term(id, b.term(), cost, &back, &starts));
     }
-    // Third pass: peephole fusion within each block (greedy catalogue
-    // matching under `Fuse`, the weight-maximizing dynamic program under
-    // `Guided`), then the cross-block jump/instrumentation pass over the
-    // (now fused) arena.
+    // Third pass: greedy peephole fusion within each block.
     let mut fused = 0;
-    if !matches!(mode, FuseMode::Off) {
+    if mode == FuseMode::Fuse {
         for b in 0..starts.len() {
             let s = starts[b] as usize;
             let e = starts.get(b + 1).map_or(ops.len(), |&n| n as usize);
-            fused += match mode {
-                FuseMode::Off => unreachable!("gated above"),
-                FuseMode::Fuse => fuse_block(&mut ops, s, e),
-                FuseMode::Guided(g) => guide_block(&mut ops, s, e, g),
-            };
+            fused += fuse_block(&mut ops, s, e);
         }
-        fused += fuse_jump_effects(&mut ops, &starts);
     }
     PreparedFunction {
         ops,
@@ -1054,612 +739,93 @@ fn fuse_block(ops: &mut [Op], s: usize, e: usize) -> usize {
     fused
 }
 
-/// Tries every pattern of the superinstruction catalogue at `ops[i]`,
-/// bounded by the block end `e`. Returns `Some((width, cost, kind))` for
-/// the group [`install`] would build, `None` if nothing matches. Pure:
-/// looks only at `ops[i..i + width]`, so cached results stay valid while
-/// earlier slots of the block are rewritten. Trap-order soundness:
-/// [`Op::cost`] folds component costs only up to (and including) the
-/// first component that can trap; every later component's cost rides in
-/// the variant's `extra` field and is charged by the interpreter arm
-/// between the two executions, reproducing the unfused charge/execute
-/// interleaving — and therefore the exact trap point and cycle count —
-/// for both execution traps and budget traps (see DESIGN.md decision 12).
+/// Tries the superinstruction catalogue at `ops[i]`, bounded by the
+/// block end `e`. Returns `Some((width, cost, kind))` for the group
+/// [`install`] would build, `None` if nothing matches. Every template
+/// starts with a `Const` feeding a `Bin`; the longer shapes are preferred.
+/// Trap-order soundness: [`Op::cost`] folds component costs only up to
+/// (and including) the first component that can trap; every later
+/// component's cost rides in the variant's `extra` field and is charged by
+/// the interpreter arm between the two executions, reproducing the
+/// unfused charge/execute interleaving — and therefore the exact trap
+/// point and cycle count — for both execution traps and budget traps (see
+/// DESIGN.md decision 12).
 fn match_at(ops: &[Op], i: usize, e: usize) -> Option<(usize, u64, OpKind)> {
-    match ops[i].kind {
-        OpKind::Const { dst: tmp, value } if i + 1 < e => {
-            let c0 = ops[i].cost;
-            match ops[i + 1].kind {
-                OpKind::Bin { op, dst, lhs, rhs } if lhs == tmp || rhs == tmp => {
-                    let c1 = ops[i + 1].cost;
-                    // Prefer the triple when the comparison feeds the
-                    // block's branch and neither edge is a backedge.
-                    if op.is_comparison() && i + 2 < e {
-                        if let OpKind::Br {
-                            cond,
-                            t,
-                            f,
-                            t_backedge: false,
-                            f_backedge: false,
-                        } = ops[i + 2].kind
-                        {
-                            if cond == dst {
-                                let kind = OpKind::BrCmpImm(Box::new(BrCmpImm {
-                                    op,
-                                    dst,
-                                    lhs,
-                                    rhs,
-                                    tmp,
-                                    imm: value,
-                                    extra: ops[i + 2].cost,
-                                    t,
-                                    f,
-                                }));
-                                return Some((3, c0 + c1, kind));
-                            }
-                        }
-                    }
-                    // Second-choice triple: the computed value goes
-                    // straight into a field (`o.f = <expr> <op> K;`).
-                    if i + 2 < e {
-                        if let OpKind::SetFieldStatic { obj, offset, src } = ops[i + 2].kind {
-                            if src == dst {
-                                let kind = OpKind::BinImmSetField(Box::new(BinImmSetField {
-                                    op,
-                                    dst,
-                                    lhs,
-                                    rhs,
-                                    tmp,
-                                    imm: value,
-                                    obj,
-                                    offset,
-                                    extra: ops[i + 2].cost,
-                                }));
-                                return Some((3, c0 + c1, kind));
-                            }
-                        }
-                    }
-                    let kind = OpKind::BinImm(Box::new(BinImm {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        tmp,
-                        imm: value,
-                    }));
-                    Some((2, c0 + c1, kind))
-                }
-                OpKind::ArrayGet { dst, arr, idx } if idx == tmp => match value {
-                    Value::I64(n) => {
-                        let cost = c0 + ops[i + 1].cost;
-                        Some((
-                            2,
-                            cost,
-                            OpKind::ArrayGetImm {
-                                dst,
-                                arr,
-                                tmp,
-                                idx: n,
-                            },
-                        ))
-                    }
-                    _ => None,
-                },
-                // `a[K] = V;` with two literals: the value's `Const` sits
-                // between the index's `Const` and the store, so the pair
-                // patterns below never see it.
-                OpKind::Const {
-                    dst: src_tmp,
-                    value: src,
-                } if src_tmp != tmp && i + 2 < e => {
-                    if let OpKind::ArraySet {
-                        arr,
-                        idx: set_idx,
-                        src: set_src,
-                    } = ops[i + 2].kind
-                    {
-                        if set_idx == tmp && set_src == src_tmp {
-                            if let Value::I64(n) = value {
-                                let cost = c0 + ops[i + 1].cost + ops[i + 2].cost;
-                                let kind = OpKind::ArraySetImm2(Box::new(ArraySetImm2 {
-                                    arr,
-                                    tmp,
-                                    idx: n,
-                                    src_tmp,
-                                    src,
-                                }));
-                                return Some((3, cost, kind));
-                            }
-                        }
-                    }
-                    None
-                }
-                OpKind::SetFieldStatic { obj, offset, src } if src == tmp => {
-                    let kind = OpKind::ConstSetField(Box::new(ConstSetField {
-                        tmp,
-                        imm: value,
-                        obj,
-                        offset,
-                    }));
-                    Some((2, c0 + ops[i + 1].cost, kind))
-                }
-                OpKind::ArraySet { arr, idx, src } if idx == tmp && src != tmp => match value {
-                    Value::I64(n) => {
-                        let cost = c0 + ops[i + 1].cost;
-                        Some((
-                            2,
-                            cost,
-                            OpKind::ArraySetImm {
-                                arr,
-                                tmp,
-                                idx: n,
-                                src,
-                            },
-                        ))
-                    }
-                    _ => None,
-                },
-                _ => None,
-            }
-        }
-        OpKind::Bin { op, dst, lhs, rhs } if i + 1 < e => {
-            if op.is_comparison() {
-                if let OpKind::Br {
-                    cond,
-                    t,
-                    f,
-                    t_backedge: false,
-                    f_backedge: false,
-                } = ops[i + 1].kind
-                {
-                    if cond == dst {
-                        let kind = OpKind::BrCmp(Box::new(BrCmp {
-                            op,
-                            dst,
-                            lhs,
-                            rhs,
-                            extra: ops[i + 1].cost,
-                            t,
-                            f,
-                        }));
-                        return Some((2, ops[i].cost, kind));
-                    }
-                }
-            }
-            if let OpKind::SetFieldStatic { obj, offset, src } = ops[i + 1].kind {
-                if src == dst {
-                    let kind = OpKind::BinSetField(Box::new(BinSetField {
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        obj,
-                        offset,
-                        extra: ops[i + 1].cost,
-                    }));
-                    return Some((2, ops[i].cost, kind));
-                }
-            }
-            None
-        }
-        OpKind::GetFieldStatic {
-            dst: tmp,
-            obj,
-            offset,
-        } if i + 1 < e => {
-            let c0 = ops[i].cost;
-            match ops[i + 1].kind {
-                OpKind::ArrayGet { dst, arr, idx } if idx == tmp => {
-                    let kind = OpKind::GetFieldArrayGet(Box::new(GetFieldArrayGet {
-                        obj,
-                        offset,
-                        tmp,
-                        dst,
-                        arr,
-                        extra: ops[i + 1].cost,
-                    }));
-                    Some((2, c0, kind))
-                }
-                OpKind::ArraySet { arr, idx, src } if idx == tmp => {
-                    let kind = OpKind::GetFieldArraySet(Box::new(GetFieldArraySet {
-                        obj,
-                        offset,
-                        tmp,
-                        arr,
-                        src,
-                        extra: ops[i + 1].cost,
-                    }));
-                    Some((2, c0, kind))
-                }
-                OpKind::Const { dst: ctmp, value } if i + 2 < e => {
-                    if let OpKind::Bin { op, dst, lhs, rhs } = ops[i + 2].kind {
-                        if (lhs == tmp && rhs == ctmp) || (lhs == ctmp && rhs == tmp) {
-                            // Best case: the result goes straight back
-                            // into a field — one dispatch for the whole
-                            // `o.f = o.g <op> K;` statement.
-                            if i + 3 < e {
-                                if let OpKind::SetFieldStatic {
-                                    obj: sobj,
-                                    offset: soffset,
-                                    src,
-                                } = ops[i + 3].kind
-                                {
-                                    if src == dst {
-                                        let kind = OpKind::GetFieldBinImmSetField(Box::new(
-                                            GetFieldBinImmSetField {
-                                                obj,
-                                                offset,
-                                                tmp,
-                                                ctmp,
-                                                imm: value,
-                                                op,
-                                                dst,
-                                                lhs,
-                                                rhs,
-                                                sobj,
-                                                soffset,
-                                                extra: ops[i + 1].cost + ops[i + 2].cost,
-                                                extra2: ops[i + 3].cost,
-                                            },
-                                        ));
-                                        return Some((4, c0, kind));
-                                    }
-                                }
-                            }
-                            let kind = OpKind::GetFieldBinImm(Box::new(GetFieldBinImm {
-                                obj,
-                                offset,
-                                tmp,
-                                ctmp,
-                                imm: value,
-                                op,
-                                dst,
-                                lhs,
-                                rhs,
-                                extra: ops[i + 1].cost + ops[i + 2].cost,
-                            }));
-                            return Some((3, c0, kind));
-                        }
-                    }
-                    None
-                }
-                OpKind::Bin { op, dst, lhs, rhs } if lhs == tmp || rhs == tmp => {
-                    // A comparison that feeds the block's branch takes the
-                    // full load–compare–branch triple.
-                    if op.is_comparison() && i + 2 < e {
-                        if let OpKind::Br {
-                            cond,
-                            t,
-                            f,
-                            t_backedge: false,
-                            f_backedge: false,
-                        } = ops[i + 2].kind
-                        {
-                            if cond == dst {
-                                let kind = OpKind::GetFieldBrCmp(Box::new(GetFieldBrCmp {
-                                    obj,
-                                    offset,
-                                    tmp,
-                                    op,
-                                    dst,
-                                    lhs,
-                                    rhs,
-                                    extra: ops[i + 1].cost,
-                                    branch: ops[i + 2].cost,
-                                    t,
-                                    f,
-                                }));
-                                return Some((3, c0, kind));
-                            }
-                        }
-                    }
-                    let kind = OpKind::GetFieldBin(Box::new(GetFieldBin {
-                        obj,
-                        offset,
-                        tmp,
-                        op,
-                        dst,
-                        lhs,
-                        rhs,
-                        extra: ops[i + 1].cost,
-                    }));
-                    Some((2, c0, kind))
-                }
-                _ => None,
-            }
-        }
-        OpKind::Move { .. } => {
-            let mut n = 1;
-            while i + n < e && matches!(ops[i + n].kind, OpKind::Move { .. }) {
-                n += 1;
-            }
-            if n < 2 {
-                return None;
-            }
-            let moves: Box<[(LocalId, LocalId)]> = ops[i..i + n]
-                .iter()
-                .map(|o| match o.kind {
-                    OpKind::Move { dst, src } => (dst, src),
-                    _ => unreachable!("run scanned above"),
-                })
-                .collect();
-            let cost = ops[i..i + n].iter().map(|o| o.cost).sum();
-            Some((n, cost, OpKind::MoveRun { moves }))
-        }
-        OpKind::PathIncr { delta: first } => {
-            // Deltas are non-negative (widened u32), so when the summed
-            // delta fits in i64, every unfused partial sum fits too and
-            // one addition of the sum is exactly the sequential result.
-            let mut n = 1;
-            let mut sum = first;
-            while i + n < e {
-                let OpKind::PathIncr { delta } = ops[i + n].kind else {
-                    break;
-                };
-                let Some(s) = sum.checked_add(delta) else {
-                    break;
-                };
-                sum = s;
-                n += 1;
-            }
-            if n < 2 {
-                return None;
-            }
-            let cost = ops[i..i + n].iter().map(|o| o.cost).sum();
-            Some((n, cost, OpKind::PathIncr { delta: sum }))
-        }
-        _ => None,
+    let OpKind::Const {
+        dst: tmp,
+        value: imm,
+    } = ops[i].kind
+    else {
+        return None;
+    };
+    if i + 1 >= e {
+        return None;
     }
-}
-
-/// Whether `kind` may ride inside a generalized `OpKind::Guided` group.
-/// Because guided groups charge per component, any component mix is
-/// trap-order sound; the set is restricted to the register-file/heap ops
-/// the guided interpreter arm implements, plus — only in the final
-/// position — the statically resolved calls (a call replaces the frame's
-/// control state, so nothing may follow it under the same dispatch).
-fn guided_component_ok(kind: &OpKind, last: bool) -> bool {
-    match kind {
-        OpKind::Const { .. }
-        | OpKind::Move { .. }
-        | OpKind::Un { .. }
-        | OpKind::Bin { .. }
-        | OpKind::GetFieldStatic { .. }
-        | OpKind::SetFieldStatic { .. }
-        | OpKind::ArrayGet { .. }
-        | OpKind::ArraySet { .. }
-        | OpKind::ArrayLen { .. } => true,
-        OpKind::Call { .. } | OpKind::CallMethodStatic { .. } => last,
-        _ => false,
+    let OpKind::Bin { op, dst, lhs, rhs } = ops[i + 1].kind else {
+        return None;
+    };
+    if lhs != tmp && rhs != tmp {
+        return None;
     }
-}
-
-/// Per-slot value a covered op contributes to the guided dynamic program:
-/// the warmup dispatch weight of its opcode, scaled so profile weight
-/// dominates, plus one so coverage itself breaks ties among equally hot
-/// partitions (and so catalogue matches always beat leaving ops unfused).
-const GUIDED_WEIGHT_SCALE: u64 = 1024;
-
-fn guided_slot_value(op: &Op, g: &FuseGuidance) -> u64 {
-    GUIDED_WEIGHT_SCALE
-        .saturating_mul(g.weight(op.kind.opcode()))
-        .saturating_add(1)
-}
-
-fn guided_span_value(ops: &[Op], i: usize, n: usize, g: &FuseGuidance) -> u64 {
-    ops[i..i + n]
-        .iter()
-        .fold(0u64, |acc, o| acc.saturating_add(guided_slot_value(o, g)))
-}
-
-/// Whether `ops[i..i + n]` can form a guided group: all components
-/// eligible (calls only last) and at least one warm under `g` — cold code
-/// keeps its plain dispatches so a pathological profile cannot bloat the
-/// arena with groups that never run.
-fn guided_group_ok(ops: &[Op], i: usize, n: usize, e: usize, g: &FuseGuidance) -> bool {
-    if i + n > e {
-        return false;
-    }
-    let mut warm = false;
-    for (k, o) in ops[i..i + n].iter().enumerate() {
-        if !guided_component_ok(&o.kind, k + 1 == n) {
-            return false;
-        }
-        warm |= g.weight(o.kind.opcode()) > 0;
-    }
-    warm
-}
-
-/// The profile-guided replacement for [`fuse_block`]: a backward dynamic
-/// program over `ops[s..e]` that picks the non-overlapping partition into
-/// catalogue matches, generalized two/three-op guided groups, and skipped
-/// slots maximizing total covered weight. Replacement is on strictly
-/// greater value with candidates considered in the order catalogue match,
-/// then guided (longer first), so on ties the specialized catalogue
-/// template wins and the greedy pass's coverage is never given up — the
-/// DP can only re-partition where the profile says it pays. Returns the
-/// number of groups installed.
-fn guide_block(ops: &mut [Op], s: usize, e: usize, g: &FuseGuidance) -> usize {
-    let m = e - s;
-    #[derive(Copy, Clone)]
-    enum Choice {
-        Skip,
-        Catalogue,
-        Guided(usize),
-    }
-    // `match_at` is pure over pristine slots, so results cached before any
-    // install stay valid for the reconstruction below.
-    let matches: Vec<Option<(usize, u64, OpKind)>> = (s..e).map(|i| match_at(ops, i, e)).collect();
-    let mut best: Vec<(u64, Choice)> = vec![(0, Choice::Skip); m + 1];
-    for j in (0..m).rev() {
-        let i = s + j;
-        let mut v = best[j + 1].0;
-        let mut c = Choice::Skip;
-        if let Some((n, _, _)) = &matches[j] {
-            let val = guided_span_value(ops, i, *n, g).saturating_add(best[j + n].0);
-            if val > v {
-                v = val;
-                c = Choice::Catalogue;
-            }
-        }
-        for n in [3usize, 2] {
-            if j + n <= m && guided_group_ok(ops, i, n, e, g) {
-                let val = guided_span_value(ops, i, n, g).saturating_add(best[j + n].0);
-                if val > v {
-                    v = val;
-                    c = Choice::Guided(n);
-                }
-            }
-        }
-        best[j] = (v, c);
-    }
-    let mut fused = 0;
-    let mut j = 0;
-    while j < m {
-        match best[j].1 {
-            Choice::Skip => j += 1,
-            Choice::Catalogue => {
-                let (n, cost, kind) = matches[j].clone().expect("chosen catalogue match exists");
-                install(ops, s + j, n, cost, kind);
-                fused += 1;
-                j += n;
-            }
-            Choice::Guided(n) => {
-                let i = s + j;
-                let steps: Box<[(u64, OpKind)]> = ops[i..i + n]
-                    .iter()
-                    .map(|o| (o.cost, o.kind.clone()))
-                    .collect();
-                let cost = steps[0].0;
-                install(ops, i, n, cost, OpKind::Guided { steps });
-                fused += 1;
-                j += n;
-            }
-        }
-    }
-    fused
-}
-
-/// One ranked candidate from [`mine_hot_sequences`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct HotSequence {
-    /// Name of the function the run lives in.
-    pub function: String,
-    /// Arena index of the run's first op within that function.
-    pub start: u32,
-    /// Number of consecutive source instructions in the run.
-    pub len: u32,
-    /// Summed warmup dispatch weight of the run's opcodes.
-    pub weight: u64,
-    /// Profiling opcode names of the components, in order.
-    pub opcodes: Vec<&'static str>,
-}
-
-/// Ranks the hottest *unfused* adjacent op sequences of a prepared module
-/// under `guidance`: scans every function's arena for maximal runs of
-/// guided-eligible plain ops (the remainder the static catalogue pass
-/// left width-1, with a call allowed to terminate a run) and scores each
-/// run by its opcodes' warmup dispatch weights. Returns the `top`
-/// heaviest runs, heaviest first, ties broken by position for
-/// determinism. This is the ranking [`FuseMode::Guided`] acts on via its
-/// per-block dynamic program; it is exposed for reports and tests.
-pub fn mine_hot_sequences(
-    prepared: &PreparedModule,
-    guidance: &FuseGuidance,
-    top: usize,
-) -> Vec<HotSequence> {
-    let mut out = Vec::new();
-    for ((_, src), f) in prepared.module.functions().zip(prepared.funcs.iter()) {
-        let ops = &f.ops;
-        let eligible = |k: usize| ops[k].width == 1 && guided_component_ok(&ops[k].kind, true);
-        let mut i = 0usize;
-        while i < ops.len() {
-            if !eligible(i) {
-                i += 1;
-                continue;
-            }
-            let start = i;
-            let mut weight = 0u64;
-            while i < ops.len() && eligible(i) {
-                weight = weight.saturating_add(guidance.weight(ops[i].kind.opcode()));
-                let is_call = matches!(
-                    ops[i].kind,
-                    OpKind::Call { .. } | OpKind::CallMethodStatic { .. }
-                );
-                i += 1;
-                if is_call {
-                    break;
-                }
-            }
-            if i - start >= 2 && weight > 0 {
-                out.push(HotSequence {
-                    function: src.name().to_owned(),
-                    start: start as u32,
-                    len: (i - start) as u32,
-                    weight,
-                    opcodes: ops[start..i]
-                        .iter()
-                        .map(|o| OPCODE_NAMES[o.kind.opcode()])
-                        .collect(),
-                });
-            }
-        }
-    }
-    out.sort_by(|a, b| {
-        b.weight
-            .cmp(&a.weight)
-            .then_with(|| a.function.cmp(&b.function))
-            .then_with(|| a.start.cmp(&b.start))
-    });
-    out.truncate(top);
-    out
-}
-
-/// Fuses each non-backedge `Jump` with the leading run of trap-free,
-/// operand-free instrumentation ops (`CallEdge`, `BlockCount`,
-/// `EdgeCount`) in its target block, landing past them. The target's own
-/// slots are left untouched — other predecessors still execute them.
-/// Runs after the intra-block pass, which never touches these op kinds.
-fn fuse_jump_effects(ops: &mut [Op], starts: &[u32]) -> usize {
-    let mut fused = 0;
-    for b in 0..starts.len() {
-        let term = starts.get(b + 1).map_or(ops.len(), |&n| n as usize) - 1;
-        let target = match ops[term].kind {
-            OpKind::Jump {
-                target,
-                backedge: false,
-            } => target as usize,
-            _ => continue,
-        };
-        let mut effects = Vec::new();
-        let mut extra = 0u64;
-        let mut k = target;
-        loop {
-            match &ops[k].kind {
-                OpKind::CallEdge => effects.push(InstrEffect::CallEdge),
-                OpKind::BlockCount { block } => effects.push(InstrEffect::BlockCount(*block)),
-                OpKind::EdgeCount { from, to } => {
-                    effects.push(InstrEffect::EdgeCount(*from, *to));
-                }
-                _ => break,
-            }
-            extra += ops[k].cost;
-            k += 1;
-        }
-        if effects.is_empty() {
-            continue;
-        }
-        ops[term] = Op {
-            cost: ops[term].cost + extra,
-            width: 1 + effects.len() as u32,
-            kind: OpKind::JumpInstr {
-                target: k as u32,
-                effects: effects.into(),
+    let cost = ops[i].cost + ops[i + 1].cost;
+    let third = (i + 2 < e).then(|| &ops[i + 2]);
+    match third.map(|o| (&o.kind, o.cost)) {
+        // The comparison feeds the block's branch and neither edge is a
+        // backedge (`while (i < n)` against a literal bound).
+        Some((
+            &OpKind::Br {
+                cond,
+                t,
+                f,
+                t_backedge: false,
+                f_backedge: false,
             },
-        };
-        fused += 1;
+            extra,
+        )) if op.is_comparison() && cond == dst => {
+            let kind = OpKind::BrCmpImm(Box::new(BrCmpImm {
+                op,
+                dst,
+                lhs,
+                rhs,
+                tmp,
+                imm,
+                extra,
+                t,
+                f,
+            }));
+            Some((3, cost, kind))
+        }
+        // The computed value goes straight into a field
+        // (`o.f = <expr> <op> K;`).
+        Some((&OpKind::SetFieldStatic { obj, offset, src }, extra)) if src == dst => {
+            let kind = OpKind::BinImmSetField(Box::new(BinImmSetField {
+                op,
+                dst,
+                lhs,
+                rhs,
+                tmp,
+                imm,
+                obj,
+                offset,
+                extra,
+            }));
+            Some((3, cost, kind))
+        }
+        _ => match imm {
+            Value::I64(imm) if rhs == tmp => Some((
+                2,
+                cost,
+                OpKind::BinImm {
+                    op,
+                    dst,
+                    src: lhs,
+                    tmp,
+                    imm,
+                },
+            )),
+            _ => None,
+        },
     }
-    fused
 }
 
 fn decode_inst(module: &Module, inst: &Inst, cost: &CostModel, statics: &Statics) -> Op {
@@ -1930,11 +1096,48 @@ mod tests {
         let ops = &fused.func(m.main()).ops;
         assert!(ops.iter().any(|op| matches!(
             &op.kind,
-            OpKind::BinImm(g) if g.op == BinOp::Mul && g.imm == Value::I64(3)
+            OpKind::BinImm {
+                op: BinOp::Mul,
+                imm: 3,
+                ..
+            }
         ) && op.cost == cost.alu + cost.mul
             && op.width == 2));
         assert!(ops.iter().any(|op| matches!(op.kind, OpKind::Gap)));
         assert!(fused.num_fused() > 0);
+    }
+
+    #[test]
+    fn constant_left_operand_is_left_unfused() {
+        // `BinImm` holds its constant as the right operand only; `10 - x`
+        // keeps its plain `Const` and `Bin` dispatches.
+        let m = compile("fn main() { var x = 4; print(10 - x); }");
+        let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
+        let ops = &p.func(m.main()).ops;
+        assert!(ops
+            .iter()
+            .any(|op| matches!(op.kind, OpKind::Bin { op: BinOp::Sub, .. })));
+        assert!(!ops
+            .iter()
+            .any(|op| matches!(op.kind, OpKind::BinImm { .. })));
+    }
+
+    #[test]
+    fn const_bin_store_fuses_into_bin_imm_set_field() {
+        let cost = CostModel::default();
+        let m = compile(
+            "class C { field n; }
+             fn main() { var c = new C; c.n = 1; c.n = c.n * 7; print(c.n); }",
+        );
+        let p = PreparedModule::prepare_with(&m, &cost, FuseMode::Fuse);
+        // `Const 7; Bin Mul; SetFieldStatic` is one dispatch: the constant
+        // and the multiply charged up front, the store's cost in `extra`
+        // (it can trap only after the multiply executed).
+        assert!(p.func(m.main()).ops.iter().any(|op| matches!(
+            &op.kind,
+            OpKind::BinImmSetField(g) if g.op == BinOp::Mul && g.extra == cost.field_access
+        ) && op.cost == cost.alu + cost.mul
+            && op.width == 3));
     }
 
     #[test]
@@ -1952,45 +1155,6 @@ mod tests {
                 && op.width == 3
         });
         assert!(found, "loop header compare-and-branch should fuse");
-    }
-
-    #[test]
-    fn const_index_array_ops_fuse() {
-        let m =
-            compile("fn main() { var a = array(4); var x = 9; a[1] = 5; a[2] = x; print(a[1]); }");
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
-        let ops = &p.func(m.main()).ops;
-        assert!(
-            ops.iter().any(|op| matches!(
-                &op.kind,
-                OpKind::ArraySetImm2(g) if g.idx == 1 && g.src == Value::I64(5)
-            )),
-            "literal-value constant-index store should fuse as a triple"
-        );
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::ArraySetImm { idx: 2, .. })),
-            "variable-value constant-index store should fuse"
-        );
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::ArrayGetImm { idx: 1, .. })),
-            "constant-index load should fuse"
-        );
-    }
-
-    #[test]
-    fn move_runs_fuse() {
-        let m = compile(
-            "fn main() { var a = 1; var b = 2; var c = 3; a = b; c = a; b = c; print(b); }",
-        );
-        let p = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Fuse);
-        let ops = &p.func(m.main()).ops;
-        assert!(
-            ops.iter()
-                .any(|op| matches!(op.kind, OpKind::MoveRun { ref moves } if moves.len() >= 2)),
-            "consecutive moves should fuse into a MoveRun"
-        );
     }
 
     #[test]
@@ -2016,10 +1180,7 @@ mod tests {
         // A single class trivially has a uniform layout, so field accesses
         // resolve to static offsets and the method call to a direct target.
         let all_ops = || p.funcs.iter().flat_map(|f| f.ops.iter());
-        assert!(all_ops().any(|op| matches!(
-            op.kind,
-            OpKind::SetFieldStatic { .. } | OpKind::ConstSetField { .. }
-        )));
+        assert!(all_ops().any(|op| matches!(op.kind, OpKind::SetFieldStatic { .. })));
         assert!(all_ops().any(|op| matches!(op.kind, OpKind::GetFieldStatic { .. })));
         assert!(!all_ops().any(|op| matches!(op.kind, OpKind::GetField { .. })));
         let off = PreparedModule::prepare_with(&m, &CostModel::default(), FuseMode::Off);
@@ -2044,13 +1205,9 @@ mod tests {
             let mut targets = Vec::new();
             for op in f.ops.iter() {
                 match &op.kind {
-                    OpKind::Jump { target, .. } | OpKind::JumpInstr { target, .. } => {
-                        targets.push(*target)
-                    }
+                    OpKind::Jump { target, .. } => targets.push(*target),
                     OpKind::Br { t, f, .. } => targets.extend([*t, *f]),
-                    OpKind::BrCmp(g) => targets.extend([g.t, g.f]),
                     OpKind::BrCmpImm(g) => targets.extend([g.t, g.f]),
-                    OpKind::GetFieldBrCmp(g) => targets.extend([g.t, g.f]),
                     OpKind::Check { sample, cont, .. } => {
                         targets.push(*sample);
                         targets.push(*cont);

@@ -28,9 +28,7 @@
 //! unfused prepared profile of the same run. Indices
 //! [`FIRST_STATIC`]`..`[`FIRST_FUSED`] are the statically-resolved forms
 //! and [`FIRST_FUSED`]`..OPC_GAP` the fused superinstructions, both
-//! produced only by fusing preparation (`FuseMode::Fuse`, or
-//! `FuseMode::Guided` which additionally emits the generalized
-//! `OPC_GUIDED` template from a warmup profile's [`FuseGuidance`]).
+//! produced only by fusing preparation (`FuseMode::Fuse`).
 //!
 //! # Exactness, cheaply
 //!
@@ -86,26 +84,9 @@ pub(crate) const OPC_SET_FIELD_STATIC: usize = 31;
 pub(crate) const OPC_CALL_METHOD_STATIC: usize = 32;
 // Fused superinstructions.
 pub(crate) const OPC_BIN_IMM: usize = 33;
-pub(crate) const OPC_BR_CMP: usize = 34;
-pub(crate) const OPC_BR_CMP_IMM: usize = 35;
-pub(crate) const OPC_ARRAY_GET_IMM: usize = 36;
-pub(crate) const OPC_ARRAY_SET_IMM: usize = 37;
-pub(crate) const OPC_ARRAY_SET_IMM2: usize = 38;
-pub(crate) const OPC_CONST_SET_FIELD: usize = 39;
-pub(crate) const OPC_GET_FIELD_BIN: usize = 40;
-pub(crate) const OPC_BIN_SET_FIELD: usize = 41;
-pub(crate) const OPC_BIN_IMM_SET_FIELD: usize = 42;
-pub(crate) const OPC_GET_FIELD_BIN_IMM: usize = 43;
-pub(crate) const OPC_GET_FIELD_BIN_IMM_SET_FIELD: usize = 44;
-pub(crate) const OPC_GET_FIELD_BR_CMP: usize = 45;
-pub(crate) const OPC_GET_FIELD_ARRAY_GET: usize = 46;
-pub(crate) const OPC_GET_FIELD_ARRAY_SET: usize = 47;
-pub(crate) const OPC_MOVE_RUN: usize = 48;
-pub(crate) const OPC_JUMP_INSTR: usize = 49;
-/// The generalized profile-guided fusion template (`FuseMode::Guided`):
-/// one dispatch executing a mined run of two or three plain components.
-pub(crate) const OPC_GUIDED: usize = 50;
-pub(crate) const OPC_GAP: usize = 51;
+pub(crate) const OPC_BR_CMP_IMM: usize = 34;
+pub(crate) const OPC_BIN_IMM_SET_FIELD: usize = 35;
+pub(crate) const OPC_GAP: usize = 36;
 
 /// First statically-resolved opcode index: opcodes below this are the
 /// plain decoded forms shared with the tree-walking reference engine.
@@ -153,23 +134,8 @@ pub const OPCODE_NAMES: [&str; NUM_OPCODES] = [
     "set-field-static",
     "call-method-static",
     "bin-imm",
-    "br-cmp",
     "br-cmp-imm",
-    "array-get-imm",
-    "array-set-imm",
-    "array-set-imm2",
-    "const-set-field",
-    "get-field-bin",
-    "bin-set-field",
     "bin-imm-set-field",
-    "get-field-bin-imm",
-    "get-field-bin-imm-set-field",
-    "get-field-br-cmp",
-    "get-field-array-get",
-    "get-field-array-set",
-    "move-run",
-    "jump-instr",
-    "guided",
     "gap",
 ];
 
@@ -376,15 +342,6 @@ impl OpProfile {
             .sum()
     }
 
-    /// Source instructions executed through the generalized profile-guided
-    /// template (`OPC_GUIDED`) — a subset of
-    /// [`OpProfile::fused_instructions`], nonzero only for modules
-    /// prepared under `FuseMode::Guided`.
-    #[must_use]
-    pub fn guided_instructions(&self) -> u64 {
-        self.rows[OPC_GUIDED].instructions
-    }
-
     /// Fusion coverage: percentage of dynamic source instructions executed
     /// under a fused superinstruction dispatch (0 when nothing ran).
     #[must_use]
@@ -438,61 +395,6 @@ impl OpProfile {
     }
 }
 
-/// Per-opcode dispatch weights distilled from a warmup [`OpProfile`] —
-/// the input to profile-guided fusion (`FuseMode::Guided`).
-///
-/// Only the unfused rows (below [`FIRST_FUSED`]) carry weight: under a
-/// statically-fused warmup those rows are exactly the remainder the fixed
-/// template catalogue failed to cover, so the guided pass chases the ops
-/// that actually dispatched. Weights are *opcode-keyed*, not slot-keyed;
-/// the guided preparation pass combines them with the static op arenas to
-/// rank candidate sequences per function (see `mine_hot_sequences`).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FuseGuidance {
-    weights: [u64; FIRST_FUSED],
-}
-
-impl Default for FuseGuidance {
-    fn default() -> Self {
-        FuseGuidance {
-            weights: [0; FIRST_FUSED],
-        }
-    }
-}
-
-impl FuseGuidance {
-    /// Distills guidance from a warmup profile: the dispatch count of
-    /// every plain (unfused) opcode.
-    #[must_use]
-    pub fn from_profile(profile: &OpProfile) -> Self {
-        let mut weights = [0u64; FIRST_FUSED];
-        for (op, w) in weights.iter_mut().enumerate() {
-            *w = profile.count(op);
-        }
-        FuseGuidance { weights }
-    }
-
-    /// The warmup dispatch count of plain opcode `op` (0 for fused or
-    /// out-of-range indices).
-    #[must_use]
-    pub fn weight(&self, op: usize) -> u64 {
-        self.weights.get(op).copied().unwrap_or(0)
-    }
-
-    /// Total warmup dispatches across all plain opcodes.
-    #[must_use]
-    pub fn total_weight(&self) -> u64 {
-        self.weights.iter().sum()
-    }
-
-    /// Whether the warmup saw no plain dispatches at all (guided fusion
-    /// then has nothing to rank and degrades to cold-sequence fusion).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.weights.iter().all(|&w| w == 0)
-    }
-}
-
 impl ProfileSink for OpProfile {
     #[inline]
     fn record_dispatches(
@@ -535,7 +437,7 @@ mod tests {
         assert!(!opcode_is_fused(OPC_GET_FIELD_STATIC));
         assert!(!opcode_is_fused(OPC_CALL_METHOD_STATIC));
         assert!(opcode_is_fused(OPC_BIN_IMM));
-        assert!(opcode_is_fused(OPC_JUMP_INSTR));
+        assert!(opcode_is_fused(OPC_BIN_IMM_SET_FIELD));
         assert!(!opcode_is_fused(OPC_GAP));
         // Names are unique.
         let mut names: Vec<&str> = OPCODE_NAMES.to_vec();
@@ -549,12 +451,12 @@ mod tests {
         let mut p = OpProfile::new();
         p.record_dispatches(OPC_BIN, 1, 1, 3);
         p.record_dispatches(OPC_BIN, 1, 1, 3);
-        p.record_dispatches(OPC_BR_CMP, 1, 3, 7);
+        p.record_dispatches(OPC_BR_CMP_IMM, 1, 3, 7);
         p.record_sample(100, 4);
         p.record_sample(250, 9);
         assert_eq!(p.count(OPC_BIN), 2);
         assert_eq!(p.cycles(OPC_BIN), 6);
-        assert_eq!(p.instructions(OPC_BR_CMP), 3);
+        assert_eq!(p.instructions(OPC_BR_CMP_IMM), 3);
         assert_eq!(p.total_dispatches(), 3);
         assert_eq!(p.total_instructions(), 5);
         assert_eq!(p.fused_instructions(), 3);

@@ -8,7 +8,7 @@ use crate::error::TrapKind;
 
 /// A runtime value. All values are word-sized and `Copy`; objects, arrays
 /// and threads are handles into the [`crate::Heap`] / scheduler.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Copy, Clone, Debug, Default)]
 pub enum Value {
     /// A 64-bit signed integer.
     I64(i64),
@@ -26,6 +26,28 @@ pub enum Value {
     #[default]
     Unit,
 }
+
+/// Two values are equal when they have the same kind and the same payload
+/// (handles compare by identity). Written out rather than derived so it
+/// can be forced inline: the `==`/`!=` arms of [`Value::binary`] and the
+/// prepared engine's compare-and-branch arms test equality on every
+/// dispatch, and the derived impl stayed an out-of-line call there.
+impl PartialEq for Value {
+    #[inline(always)]
+    fn eq(&self, other: &Value) -> bool {
+        match (*self, *other) {
+            (Value::I64(a), Value::I64(b)) => a == b,
+            (Value::Bool(a), Value::Bool(b)) => a == b,
+            (Value::Null, Value::Null) | (Value::Unit, Value::Unit) => true,
+            (Value::Obj(a), Value::Obj(b))
+            | (Value::Arr(a), Value::Arr(b))
+            | (Value::Thread(a), Value::Thread(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for Value {}
 
 // Locals, value stacks and op immediates are arrays of `Value`; pin its
 // size so a new variant cannot silently widen every one of them.
@@ -47,6 +69,7 @@ impl fmt::Display for Value {
 
 impl Value {
     /// Extracts an integer.
+    #[inline(always)]
     pub fn as_i64(self) -> Result<i64, TrapKind> {
         match self {
             Value::I64(v) => Ok(v),
@@ -92,6 +115,14 @@ impl Value {
     /// Applies a binary operator. Arithmetic wraps; division and remainder
     /// by zero trap; `==`/`!=` compare any two values of the same kind;
     /// the orderings require integers.
+    ///
+    /// Always inlined: the prepared engine's arithmetic, compare and
+    /// field-update arms call this on most dispatches, and inlined into an
+    /// arm whose operator is data but whose operands are almost always
+    /// integers, the integer path is a few instructions with the result in
+    /// registers instead of a call returning a `Result` through memory
+    /// (DESIGN.md decision 19).
+    #[inline(always)]
     pub fn binary(op: BinOp, a: Value, b: Value) -> Result<Value, TrapKind> {
         use BinOp::*;
         Ok(match op {
@@ -182,6 +213,123 @@ mod tests {
             Value::Bool(true)
         );
         assert!(Value::unary(UnOp::Not, Value::I64(1)).is_err());
+    }
+
+    /// The operator table: every `BinOp` and `UnOp` on its edge operands,
+    /// with the exact result or trap. The prepared engine inlines
+    /// [`Value::binary`] into its arithmetic arms and the naive engine
+    /// calls it, so a reshaped fast path that drifted from these rows
+    /// would change both engines' results at once — the differential
+    /// tests cannot see that; this table does.
+    #[test]
+    fn operator_table() {
+        use BinOp::*;
+        use Value::{Arr, Bool, Null, Obj, Thread, Unit, I64};
+        let ty = |expected, found| Err(TrapKind::TypeError { expected, found });
+        let int = |found| ty("integer", found);
+        let rows: Vec<(BinOp, Value, Value, Result<Value, TrapKind>)> = vec![
+            (Add, I64(2), I64(3), Ok(I64(5))),
+            (Add, I64(i64::MAX), I64(1), Ok(I64(i64::MIN))),
+            (Add, Null, Bool(true), int("null")),
+            (Add, I64(1), Bool(true), int("boolean")),
+            (Sub, I64(i64::MIN), I64(1), Ok(I64(i64::MAX))),
+            (Sub, Obj(1), I64(1), int("object")),
+            (Mul, I64(i64::MIN), I64(-1), Ok(I64(i64::MIN))),
+            (Mul, I64(-4), I64(5), Ok(I64(-20))),
+            (Mul, Arr(1), I64(1), int("array")),
+            // Division truncates toward zero and wraps `MIN / -1`; the
+            // divisor is checked first, so a zero divisor traps even when
+            // the dividend has the wrong kind.
+            (Div, I64(-7), I64(2), Ok(I64(-3))),
+            (Div, I64(i64::MIN), I64(-1), Ok(I64(i64::MIN))),
+            (Div, I64(1), I64(0), Err(TrapKind::DivisionByZero)),
+            (Div, Bool(true), I64(0), Err(TrapKind::DivisionByZero)),
+            (Div, I64(1), Unit, int("unit")),
+            (Div, Thread(0), I64(1), int("thread")),
+            (Rem, I64(-7), I64(2), Ok(I64(-1))),
+            (Rem, I64(i64::MIN), I64(-1), Ok(I64(0))),
+            (Rem, I64(1), I64(0), Err(TrapKind::DivisionByZero)),
+            (Rem, Null, I64(0), Err(TrapKind::DivisionByZero)),
+            (Rem, I64(1), Null, int("null")),
+            (And, I64(0b1100), I64(0b1010), Ok(I64(0b1000))),
+            (And, Bool(true), Bool(true), int("boolean")),
+            (Or, I64(0b1100), I64(0b1010), Ok(I64(0b1110))),
+            (Or, I64(-1), I64(0), Ok(I64(-1))),
+            (Xor, I64(0b1100), I64(0b1010), Ok(I64(0b0110))),
+            (Xor, I64(1), Obj(0), int("object")),
+            // Shift counts are taken modulo 64 after truncation to 32
+            // bits: 64 is 0, 65 is 1, -1 is 63, and `MIN` truncates to 0.
+            (Shl, I64(1), I64(3), Ok(I64(8))),
+            (Shl, I64(1), I64(64), Ok(I64(1))),
+            (Shl, I64(1), I64(65), Ok(I64(2))),
+            (Shl, I64(1), I64(-1), Ok(I64(i64::MIN))),
+            (Shl, I64(3), I64(i64::MIN), Ok(I64(3))),
+            (Shl, I64(1), I64((1 << 32) + 1), Ok(I64(2))),
+            (Shr, I64(8), I64(1), Ok(I64(4))),
+            (Shr, I64(8), I64(64), Ok(I64(8))),
+            (Shr, I64(i64::MIN), I64(63), Ok(I64(-1))),
+            (Shr, I64(-8), I64(-1), Ok(I64(-1))),
+            (Shr, I64(1), Bool(false), int("boolean")),
+            // Equality compares kind and payload; it never traps.
+            (Eq, I64(5), I64(5), Ok(Bool(true))),
+            (Eq, I64(0), Bool(false), Ok(Bool(false))),
+            (Eq, I64(0), Null, Ok(Bool(false))),
+            (Eq, Bool(true), Bool(true), Ok(Bool(true))),
+            (Eq, Null, Null, Ok(Bool(true))),
+            (Eq, Unit, Unit, Ok(Bool(true))),
+            (Eq, Unit, Null, Ok(Bool(false))),
+            (Eq, Obj(1), Obj(1), Ok(Bool(true))),
+            (Eq, Obj(1), Arr(1), Ok(Bool(false))),
+            (Eq, Arr(7), Arr(7), Ok(Bool(true))),
+            (Eq, Thread(1), Thread(1), Ok(Bool(true))),
+            (Eq, Null, Obj(0), Ok(Bool(false))),
+            (Ne, I64(5), I64(5), Ok(Bool(false))),
+            (Ne, Obj(1), Obj(2), Ok(Bool(true))),
+            (Ne, Thread(2), Thread(3), Ok(Bool(true))),
+            (Ne, Bool(false), I64(0), Ok(Bool(true))),
+            (Ne, Unit, Null, Ok(Bool(true))),
+            (Ne, Arr(3), Arr(3), Ok(Bool(false))),
+            // The orderings are signed and integer-only; the trap names
+            // the first non-integer operand's kind.
+            (Lt, I64(1), I64(2), Ok(Bool(true))),
+            (Lt, I64(i64::MIN), I64(i64::MAX), Ok(Bool(true))),
+            (Lt, Bool(true), I64(0), int("boolean")),
+            (Lt, Arr(1), Arr(2), int("array")),
+            (Le, I64(2), I64(2), Ok(Bool(true))),
+            (Le, I64(3), I64(2), Ok(Bool(false))),
+            (Le, I64(0), Null, int("null")),
+            (Gt, I64(i64::MIN), I64(i64::MAX), Ok(Bool(false))),
+            (Gt, I64(-1), I64(-2), Ok(Bool(true))),
+            (Gt, Obj(1), Obj(2), int("object")),
+            (Ge, I64(-1), I64(-1), Ok(Bool(true))),
+            (Ge, Unit, Unit, int("unit")),
+            (Ge, I64(0), Thread(0), int("thread")),
+        ];
+        for (op, a, b, want) in &rows {
+            assert_eq!(Value::binary(*op, *a, *b), *want, "{op:?} {a:?} {b:?}");
+        }
+        for op in [
+            Add, Sub, Mul, Div, Rem, And, Or, Xor, Shl, Shr, Eq, Ne, Lt, Le, Gt, Ge,
+        ] {
+            assert!(
+                rows.iter().any(|r| r.0 == op),
+                "operator table has no row for {op:?}"
+            );
+        }
+
+        let unary: Vec<(UnOp, Value, Result<Value, TrapKind>)> = vec![
+            (UnOp::Neg, I64(5), Ok(I64(-5))),
+            (UnOp::Neg, I64(i64::MIN), Ok(I64(i64::MIN))),
+            (UnOp::Neg, Bool(true), int("boolean")),
+            (UnOp::Neg, Null, int("null")),
+            (UnOp::Not, Bool(false), Ok(Bool(true))),
+            (UnOp::Not, Bool(true), Ok(Bool(false))),
+            (UnOp::Not, I64(1), ty("boolean", "integer")),
+            (UnOp::Not, Obj(0), ty("boolean", "object")),
+        ];
+        for (op, v, want) in &unary {
+            assert_eq!(Value::unary(*op, *v), *want, "{op:?} {v:?}");
+        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! argument list to [`Command`] so every flag's validation is unit-testable
 //! without spawning the binary.
 //!
-//! Error policy: a *structurally* wrong invocation (no experiments, an
-//! unknown flag, a misshapen subcommand) gets the full usage text; a flag
+//! Error policy: a *structurally* wrong invocation (no experiments, a
+//! misshapen subcommand) gets the full usage text; an unknown flag gets a
+//! one-line diagnostic naming it plus the usage text, and exits 2; a flag
 //! with a *bad value* (`--jobs 0`, an overflowing `--retries`, a garbage
 //! `--fault-inject` spec) gets a one-line diagnostic naming the flag, the
 //! offending value, and what would be accepted — never a panic, never a
@@ -45,7 +46,7 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      \x20                  [--cell-deadline MS] [--run-deadline MS]\n\
      \x20                  [--cancel-after-cycles CYCLES]\n\
      \x20                  [--fault-inject p=<prob>[,seed=<s>]]\n\
-     \x20                  [--journal FILE] [--resume] [--no-fuse] [--pgo]\n\
+     \x20                  [--journal FILE] [--resume] [--no-fuse]\n\
      \x20                  [--profile] [--trace-out FILE] <experiment>...\n\
      \x20      isf-harness --explore schedules=N[,seed=S] [--scale smoke|default|paper]\n\
      \x20                  [--jobs N] [--emit json|off] [--emit-path FILE] <benchmark>...|all\n\
@@ -62,8 +63,6 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
      --journal writes a crash-safe cell journal; --resume replays its finished cells;\n\
      --no-fuse disables superinstruction fusion (on by default unless $ISF_FUSE=0) —\n\
      results are identical;\n\
-     --pgo enables profile-guided fusion: each module runs a short warmup cell and\n\
-     is re-prepared with guided superinstructions — results are identical;\n\
      --profile enables VM self-profiling: per-opcode dispatch profiles, fusion\n\
      coverage, and `metrics`/`span-summary` JSONL records;\n\
      --trace-out writes a Chrome trace-event JSON file (open in Perfetto);\n\
@@ -76,7 +75,7 @@ pub const USAGE: &str = "usage: isf-harness [--scale smoke|default|paper] [--job
 /// A fully parsed experiment run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunConfig {
-    /// Scale, jobs, budgets, deadlines, fault injection, fusion and PGO.
+    /// Scale, jobs, budgets, deadlines, fault injection and fusion.
     pub harness: HarnessConfig,
     /// `--emit json` (`Some(true)`) / `--emit off` (`Some(false)`).
     pub emit_json: Option<bool>,
@@ -156,13 +155,22 @@ pub enum CliError {
     Bad(String),
     /// The invocation is structurally wrong: show the full usage text.
     Usage,
+    /// A flag this command does not know (a typo, or a removed flag such
+    /// as `--pgo`): named on one line, then the usage text; exit code
+    /// [`UNKNOWN_FLAG_EXIT`].
+    UnknownFlag(String),
 }
+
+/// Exit code for an unknown flag, the conventional code for a command-line
+/// usage error.
+pub const UNKNOWN_FLAG_EXIT: u8 = 2;
 
 impl std::fmt::Display for CliError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CliError::Bad(m) => write!(f, "{m}"),
             CliError::Usage => write!(f, "{USAGE}"),
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
         }
     }
 }
@@ -276,7 +284,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             "--journal" => cfg.journal = Some(PathBuf::from(next_value(&mut it, flag)?)),
             "--resume" => cfg.resume = true,
             "--no-fuse" => cfg.harness.fuse = false,
-            "--pgo" => cfg.harness.pgo = true,
             "--profile" => cfg.profile = true,
             "--trace-out" => cfg.trace_out = Some(PathBuf::from(next_value(&mut it, flag)?)),
             "--explore" => {
@@ -285,7 +292,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     Some(explore::parse_spec(v).map_err(|e| bad(format!("--explore: {e}")))?);
             }
             "--help" | "-h" => return Ok(Command::Help),
-            other if other.starts_with('-') => return Err(CliError::Usage),
+            other if other.starts_with('-') => return Err(CliError::UnknownFlag(other.to_owned())),
             other => positionals.push(other.to_owned()),
         }
     }
@@ -377,6 +384,7 @@ fn parse_snapshot(args: &[String]) -> Result<Command, CliError> {
             "--scale" => cfg.harness.scale = parse_scale(next_value(&mut it, "--scale")?)?,
             "--jobs" => cfg.harness.jobs = parse_jobs(next_value(&mut it, "--jobs")?)?,
             "--out" => cfg.out = PathBuf::from(next_value(&mut it, "--out")?),
+            other if other.starts_with('-') => return Err(CliError::UnknownFlag(other.to_owned())),
             _ => return Err(CliError::Usage),
         }
     }
@@ -429,7 +437,6 @@ mod tests {
             "j.jsonl",
             "--resume",
             "--no-fuse",
-            "--pgo",
             "--profile",
             "--trace-out",
             "trace.json",
@@ -447,7 +454,6 @@ mod tests {
                 cancel_after: 5000,
                 fault: Some((0.25, 7)),
                 fuse: false,
-                pgo: true,
             }
         );
         assert_eq!(cfg.emit_json, Some(true));
@@ -479,7 +485,6 @@ mod tests {
             "no flag: every harness setting at its default"
         );
         assert_eq!(cfg.harness.scale, Scale::Default);
-        assert!(!cfg.harness.pgo, "profile-guided fusion is opt-in");
         assert!(!cfg.resume);
         assert!(!cfg.profile, "self-profiling is off by default");
         assert_eq!(cfg.trace_out, None);
@@ -568,7 +573,11 @@ mod tests {
         };
         assert!(msg.contains("table9"), "{msg}");
         assert_eq!(err(&[]), CliError::Usage, "no experiments: full usage");
-        assert_eq!(err(&["--wat", "table1"]), CliError::Usage, "unknown flag");
+        assert_eq!(
+            err(&["--wat", "table1"]),
+            CliError::UnknownFlag("--wat".to_owned()),
+            "unknown flag"
+        );
     }
 
     #[test]
@@ -648,7 +657,6 @@ mod tests {
                 vec!["--explore", "schedules=4", "--no-fuse", "pbob"],
                 "--no-fuse",
             ),
-            (vec!["--explore", "schedules=4", "--pgo", "pbob"], "--pgo"),
             (
                 vec!["--explore", "schedules=4", "--retries", "2", "pbob"],
                 "--retries",
@@ -670,6 +678,30 @@ mod tests {
             assert!(msg.contains(flag), "{args:?}: {msg}");
             assert!(!msg.contains('\n'), "{args:?}: must be one line: {msg}");
         }
+    }
+
+    #[test]
+    fn removed_pgo_flag_is_an_unknown_flag() {
+        // Profile-guided fusion was measured slower than static fusion and
+        // removed (DESIGN.md decision 19); its flag is refused by name
+        // rather than silently ignored, in every command that parses flags.
+        for args in [
+            vec!["--pgo", "table1"],
+            vec!["--scale", "smoke", "--pgo", "all"],
+            vec!["--explore", "schedules=4", "--pgo", "pbob"],
+            vec!["bench-snapshot", "--pgo"],
+        ] {
+            assert_eq!(
+                err(&args),
+                CliError::UnknownFlag("--pgo".to_owned()),
+                "{args:?}"
+            );
+        }
+        assert_eq!(
+            CliError::UnknownFlag("--pgo".to_owned()).to_string(),
+            "unknown flag `--pgo`"
+        );
+        assert!(!USAGE.contains("--pgo"), "usage must not offer --pgo");
     }
 
     #[test]

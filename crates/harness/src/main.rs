@@ -9,7 +9,7 @@
 //!             [--cell-deadline MS] [--run-deadline MS]
 //!             [--cancel-after-cycles CYCLES]
 //!             [--fault-inject p=<prob>[,seed=<s>]]
-//!             [--journal FILE] [--resume] [--no-fuse] [--pgo]
+//!             [--journal FILE] [--resume] [--no-fuse]
 //!             [--profile] [--trace-out FILE] <experiment>...
 //! isf-harness --explore schedules=N[,seed=S] [--scale ...] [--jobs N]
 //!             [--emit json|off] [--emit-path FILE] <benchmark>...|all
@@ -61,14 +61,6 @@
 //! table, cycle count, and JSONL record is byte-identical either way —
 //! so the flag exists for ablation measurements and the CI equivalence
 //! diff, not for correctness.
-//!
-//! With `--pgo` the preparation cache serves each module
-//! through a warmup-then-reprepare flow: a short profiling cell runs the
-//! statically fused form, its folded profile is distilled into fusion
-//! guidance, and the module is re-prepared with guided superinstructions
-//! covering the call-dense sequences the static catalogue cannot express.
-//! Observable results are byte-identical to a statically-fused (or
-//! unfused) run; only fusion coverage moves.
 //!
 //! With `--profile` the VM self-profiles: engines
 //! run through the per-opcode `ProfileSink`, dispatch/cycle attribution
@@ -157,22 +149,10 @@ fn emit_phases(experiment: &str) {
 fn report_fusion_coverage(h: &Harness) {
     log::cells("[profile] fusion coverage (dynamic instructions executed fused):");
     for c in runner::fusion_coverage(h) {
-        if h.config().pgo {
-            log::cells(&format!(
-                "[profile]   {:<10} {:>5.1}%  ({} / {} instructions, {} guided = {:.1}%)",
-                c.name,
-                c.coverage_pct,
-                c.fused_instructions,
-                c.total_instructions,
-                c.guided_instructions,
-                c.guided_pct()
-            ));
-        } else {
-            log::cells(&format!(
-                "[profile]   {:<10} {:>5.1}%  ({} / {} instructions)",
-                c.name, c.coverage_pct, c.fused_instructions, c.total_instructions
-            ));
-        }
+        log::cells(&format!(
+            "[profile]   {:<10} {:>5.1}%  ({} / {} instructions)",
+            c.name, c.coverage_pct, c.fused_instructions, c.total_instructions
+        ));
     }
 }
 
@@ -460,5 +440,10 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
         Err(CliError::Usage) => usage_failure(),
+        Err(e @ CliError::UnknownFlag(_)) => {
+            log::error(&format!("isf-harness: {e}"));
+            log::error(cli::USAGE);
+            ExitCode::from(cli::UNKNOWN_FLAG_EXIT)
+        }
     }
 }

@@ -31,8 +31,8 @@ use std::time::{Duration, Instant};
 
 use isf_core::{instrument_module, Options, Strategy, TransformStats};
 use isf_exec::{
-    fuse_mode, run_prepared, run_prepared_profiled, CancelToken, CostModel, ExecLimits,
-    FuseGuidance, FuseMode, OpProfile, Outcome, PreparedModule, Trigger, VmConfig, VmError,
+    fuse_mode, run_prepared, run_prepared_profiled, CancelToken, CostModel, ExecLimits, FuseMode,
+    OpProfile, Outcome, PreparedModule, Trigger, VmConfig, VmError,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_ir::Module;
@@ -85,12 +85,6 @@ pub struct HarnessConfig {
     /// Superinstruction fusion (`--no-fuse` turns it off). Observably
     /// equivalent either way.
     pub fuse: bool,
-    /// Profile-guided preparation (`--pgo`): [`cached_prepare`] serves
-    /// each fused module through a warmup-then-reprepare flow — a short
-    /// profiled warmup run, then a re-preparation under
-    /// [`FuseMode::Guided`]. Observably equivalent to a statically fused
-    /// run.
-    pub pgo: bool,
 }
 
 impl Default for HarnessConfig {
@@ -104,7 +98,6 @@ impl Default for HarnessConfig {
             cancel_after: 0,
             fault: None,
             fuse: fuse_mode() != FuseMode::Off,
-            pgo: false,
         }
     }
 }
@@ -1130,13 +1123,11 @@ pub fn instrument(
 /// the slot and share a single preparation.
 type PrepSlot = Arc<OnceLock<Arc<PreparedModule>>>;
 
-/// The cache key of a decode: the module's canonical text and whether the
-/// decode is guided. The cost model and fuse mode are fixed for a
-/// harness's lifetime, and guided preparation is a pure function of
-/// module and cost, so nothing else can change the decoded form.
-fn prep_key(module: &Module, guided: bool) -> u64 {
-    let h = journal::fnv1a(journal::FNV_OFFSET, module.to_string().as_bytes());
-    journal::fnv1a(h, if guided { b"/guided" } else { b"/static" })
+/// The cache key of a decode: the module's canonical text. The cost model
+/// and fuse mode are fixed for a harness's lifetime, so nothing else can
+/// change the decoded form.
+fn prep_key(module: &Module) -> u64 {
+    journal::fnv1a(journal::FNV_OFFSET, module.to_string().as_bytes())
 }
 
 /// Decodes `module` under the harness cost model through the harness's
@@ -1153,11 +1144,7 @@ fn prep_key(module: &Module, guided: bool) -> u64 {
 /// pays each decode is not (that only surfaces in `ISF_LOG=debug`).
 pub fn cached_prepare(h: &Harness, module: &Module) -> Arc<PreparedModule> {
     note_prepare_request();
-    let cost = CostModel::default();
-    // Guided preparation only refines the statically-fused form: with
-    // fusion off there is nothing for a warmup profile to steer.
-    let guided = h.config.pgo && h.config.fuse;
-    let key = prep_key(module, guided);
+    let key = prep_key(module);
     let slot = {
         let mut map = h.prep_cache.lock().unwrap_or_else(|p| p.into_inner());
         map.entry(key).or_default().clone()
@@ -1166,16 +1153,16 @@ pub fn cached_prepare(h: &Harness, module: &Module) -> Arc<PreparedModule> {
     let prepared = slot
         .get_or_init(|| {
             fresh = true;
-            if guided {
-                Arc::new(pgo_prepare(module, &cost))
+            let mode = if h.config.fuse {
+                FuseMode::Fuse
             } else {
-                let mode = if h.config.fuse {
-                    FuseMode::Fuse
-                } else {
-                    FuseMode::Off
-                };
-                Arc::new(PreparedModule::prepare_with(module, &cost, mode))
-            }
+                FuseMode::Off
+            };
+            Arc::new(PreparedModule::prepare_with(
+                module,
+                &CostModel::default(),
+                mode,
+            ))
         })
         .clone();
     if fresh {
@@ -1185,44 +1172,6 @@ pub fn cached_prepare(h: &Harness, module: &Module) -> Arc<PreparedModule> {
         metrics::counter_add("prep.cache.hits", 1);
         log::debug(&format!("[prep-cache] hit {key:016x}"));
     }
-    prepared
-}
-
-/// Cycle budget of the PGO warmup cell. Long enough to get past
-/// initialization and into the steady-state loops whose opcode mix the
-/// guidance wants, short enough that re-preparation stays a small
-/// fraction of a harness run.
-const PGO_WARMUP_CYCLES: u64 = 250_000;
-
-/// The warmup-then-reprepare flow behind `--pgo`: prepares the
-/// statically-fused form, runs it for [`PGO_WARMUP_CYCLES`] as a
-/// profiling cell (`Trigger::Never`, so the warmup observes the program
-/// and not the instrumentation), folds the resulting [`OpProfile`] into a
-/// [`FuseGuidance`], and re-prepares under [`FuseMode::Guided`]. The
-/// warmup usually ends in a fuel trap — that is its exit, not a failure,
-/// and the profile is folded either way. Outcome-affecting state is
-/// untouched: the warmup runs on a private module instance, emits no
-/// JSONL, and registers no phase section (which cell pays the warmup is
-/// scheduling-dependent, like any cache miss), so stdout and the record
-/// stream stay byte-identical to a non-PGO run of the same cells.
-fn pgo_prepare(module: &Module, cost: &CostModel) -> PreparedModule {
-    let start = Instant::now();
-    let base = PreparedModule::prepare_with(module, cost, FuseMode::Fuse);
-    let cfg = VmConfig {
-        trigger: Trigger::Never,
-        limits: ExecLimits::cycles(PGO_WARMUP_CYCLES),
-        ..VmConfig::default()
-    };
-    let mut profile = OpProfile::new();
-    let _ = run_prepared_profiled(&base, &cfg, &mut profile);
-    let guidance = FuseGuidance::from_profile(&profile);
-    metrics::counter_add("pgo.warmups", 1);
-    metrics::counter_add("pgo.warmup_instructions", profile.total_instructions());
-    let prepared = PreparedModule::prepare_with(module, cost, FuseMode::Guided(Box::new(guidance)));
-    log::debug(&format!(
-        "[pgo] warmup + guided re-preparation in {:?}",
-        start.elapsed()
-    ));
     prepared
 }
 
@@ -1299,7 +1248,6 @@ fn record_profile(profile: &OpProfile, trigger: Trigger) {
     }
     metrics::counter_add("profile.runs", 1);
     metrics::counter_add("profile.fused_instructions", profile.fused_instructions());
-    metrics::counter_add("profile.guided_instructions", profile.guided_instructions());
     metrics::counter_add("profile.total_instructions", profile.total_instructions());
     let kind = trigger.kind_name();
     for &gap in profile.sample_gap_cycles() {
@@ -1318,26 +1266,10 @@ pub struct FusionCoverage {
     pub name: &'static str,
     /// Dynamic instructions executed under a fused dispatch.
     pub fused_instructions: u64,
-    /// Dynamic instructions executed through the generalized
-    /// profile-guided template — a subset of `fused_instructions`, zero
-    /// unless the module was prepared under PGO.
-    pub guided_instructions: u64,
     /// Total dynamic instructions.
     pub total_instructions: u64,
     /// `fused / total`, in percent.
     pub coverage_pct: f64,
-}
-
-impl FusionCoverage {
-    /// `guided / total`, in percent — the share of the dynamic stream the
-    /// guided tier added on top of the static catalogue.
-    #[must_use]
-    pub fn guided_pct(&self) -> f64 {
-        if self.total_instructions == 0 {
-            return 0.0;
-        }
-        self.guided_instructions as f64 / self.total_instructions as f64 * 100.0
-    }
 }
 
 /// Measures fusion coverage for every suite benchmark at the harness's
@@ -1363,17 +1295,12 @@ pub fn fusion_coverage(h: &Harness) -> Vec<FusionCoverage> {
             let c = FusionCoverage {
                 name: w.name(),
                 fused_instructions: profile.fused_instructions(),
-                guided_instructions: profile.guided_instructions(),
                 total_instructions: profile.total_instructions(),
                 coverage_pct: profile.fusion_coverage_pct(),
             };
             metrics::counter_add(
                 &format!("fusion.{}.fused_instructions", c.name),
                 c.fused_instructions,
-            );
-            metrics::counter_add(
-                &format!("fusion.{}.guided_instructions", c.name),
-                c.guided_instructions,
             );
             metrics::counter_add(
                 &format!("fusion.{}.total_instructions", c.name),
@@ -1600,52 +1527,6 @@ mod tests {
         let hits_after = metrics::snapshot().counter("prep.cache.hits");
         metrics::set_enabled(false);
         assert!(hits_after > hits_before, "second run hits the cache");
-    }
-
-    #[test]
-    fn pgo_prepares_guided_modules_with_identical_outcomes() {
-        // The warmup-then-reprepare flow end to end: with PGO on, the
-        // cache serves a guided decode (paying one warmup), the run's
-        // outcome is identical to the non-PGO one, and the call-dense
-        // benchmarks clear the coverage target the static catalogue
-        // could not reach. Guided preparation refines the statically
-        // fused form, so both harnesses fuse even when the suite runs
-        // under `ISF_FUSE=0` (fusion is observably equivalent).
-        let plain = smoke_harness_with(|c| c.fuse = true);
-        let guided = smoke_harness_with(|c| {
-            c.fuse = true;
-            c.pgo = true;
-        });
-        let w = isf_workloads::by_name("jess", Scale::Smoke).unwrap();
-        let m = w.compile();
-        let baseline = run_module(&plain, &m, Trigger::Never);
-        let _guard = OBS_TEST_LOCK.lock().unwrap();
-        metrics::set_enabled(true);
-        let warmups_before = metrics::snapshot().counter("pgo.warmups");
-        let prepared = cached_prepare(&guided, &m);
-        let outcome = run_prepared_module(&guided, &prepared, Trigger::Never);
-        let warmups_after = metrics::snapshot().counter("pgo.warmups");
-        // Coverage with profiling off: the returned values are what this
-        // test needs, and recording nothing keeps the cumulative
-        // `fusion.*` registry counters exactly as other tests expect.
-        metrics::set_enabled(false);
-        let coverage = fusion_coverage(&guided);
-        assert!(
-            prepared.num_guided() > 0,
-            "guided preparation instantiated no generalized groups"
-        );
-        assert_eq!(
-            outcome, baseline,
-            "guided preparation must not change the outcome"
-        );
-        assert!(warmups_after > warmups_before, "the guided decode warms up");
-        let jess = coverage.iter().find(|c| c.name == "jess").unwrap();
-        assert!(jess.guided_instructions > 0, "no guided dispatches on jess");
-        assert!(
-            jess.coverage_pct >= 65.0,
-            "guided coverage on jess is {:.1}%, below the 65% target",
-            jess.coverage_pct
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@ use isf_obs::{emit, Json};
 
 use crate::runner::{
     cell, fusion_coverage, instrument, par_cells, prepare_suite, run_module, FusionCoverage,
-    Harness, HarnessConfig, Kinds,
+    Harness, Kinds,
 };
 use crate::Scale;
 
@@ -217,17 +217,6 @@ pub fn profile_samples(h: &Harness) -> Vec<ProfileSample> {
         .collect()
 }
 
-/// Measures fusion coverage for the whole suite with profile-guided
-/// preparation enabled: the `profile_guided` section of the snapshot.
-/// Runs through the same [`fusion_coverage`] machinery, on a harness
-/// that differs from `h` only in having PGO on.
-pub fn guided_coverage(h: &Harness) -> Vec<FusionCoverage> {
-    fusion_coverage(&Harness::new(HarnessConfig {
-        pgo: true,
-        ..h.config().clone()
-    }))
-}
-
 /// Renders a snapshot as its JSON document.
 pub fn to_json(
     scale: Scale,
@@ -236,7 +225,6 @@ pub fn to_json(
     dispatch: &[DispatchSample],
     coverage: &[FusionCoverage],
     profiled: &[ProfileSample],
-    guided: &[FusionCoverage],
 ) -> Json {
     Json::obj([
         ("schema", "isf-bench-snapshot/1".into()),
@@ -323,24 +311,6 @@ pub fn to_json(
                 ),
             ]),
         ),
-        (
-            "profile_guided",
-            Json::Arr(
-                guided
-                    .iter()
-                    .map(|c| {
-                        Json::obj([
-                            ("name", c.name.into()),
-                            ("fused_instructions", c.fused_instructions.into()),
-                            ("guided_instructions", c.guided_instructions.into()),
-                            ("total_instructions", c.total_instructions.into()),
-                            ("coverage_pct", c.coverage_pct.into()),
-                            ("guided_pct", c.guided_pct().into()),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
     ])
 }
 
@@ -392,7 +362,6 @@ pub fn write(h: &Harness, dir: &Path) -> io::Result<PathBuf> {
     let dispatch = dispatch_samples(h);
     let coverage = fusion_coverage(h);
     let profiled = profile_samples(h);
-    let guided = guided_coverage(h);
     let doc = to_json(
         h.config().scale,
         &date,
@@ -400,7 +369,6 @@ pub fn write(h: &Harness, dir: &Path) -> io::Result<PathBuf> {
         &dispatch,
         &coverage,
         &profiled,
-        &guided,
     );
     let path = dir.join(format!("BENCH_{date}.json"));
     let tmp = dir.join(format!("BENCH_{date}.json.tmp"));
@@ -456,7 +424,6 @@ mod tests {
         let coverage = vec![FusionCoverage {
             name: "compress",
             fused_instructions: 75,
-            guided_instructions: 0,
             total_instructions: 100,
             coverage_pct: 75.0,
         }];
@@ -465,13 +432,6 @@ mod tests {
             profiled_ns: 820,
             coverage_pct: 75.0,
         }];
-        let guided = vec![FusionCoverage {
-            name: "compress",
-            fused_instructions: 80,
-            guided_instructions: 5,
-            total_instructions: 100,
-            coverage_pct: 80.0,
-        }];
         let doc = to_json(
             Scale::Smoke,
             "2026-08-06",
@@ -479,7 +439,6 @@ mod tests {
             &dispatch,
             &coverage,
             &profiled,
-            &guided,
         );
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
@@ -501,13 +460,10 @@ mod tests {
                 .map(<[Json]>::len),
             Some(1)
         );
-        let pg = doc
-            .get("profile_guided")
-            .and_then(Json::as_arr)
-            .expect("profile_guided section present");
-        assert_eq!(pg.len(), 1);
-        assert!(text.contains("\"guided_instructions\":5"));
-        assert!(text.contains("\"guided_pct\":5"));
+        assert!(
+            doc.get("profile_guided").is_none(),
+            "the profile-guided section went with profile-guided fusion"
+        );
     }
 
     #[test]

@@ -41,7 +41,6 @@ fn run_inputs_fingerprints_match_journals_from_earlier_releases() {
         jobs: default.jobs + 3,
         cell_deadline: 250,
         fuse: !default.fuse,
-        pgo: true,
         ..default.clone()
     };
     assert_eq!(fingerprint(&unfingerprinted), fingerprint(&default));
@@ -80,4 +79,18 @@ fn concurrent_harnesses_keep_their_own_settings() {
         matches!(uncapped_result, CellResult::Ok(cycles) if cycles > 500),
         "the uncapped harness must not see the other's budget: {uncapped_result:?}"
     );
+}
+
+#[test]
+fn removed_pgo_flag_exits_with_the_unknown_flag_code() {
+    // `--pgo` went with profile-guided fusion: the binary names it and
+    // exits 2 before running anything, instead of silently ignoring it.
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_isf-harness"))
+        .args(["--scale", "smoke", "--pgo", "table1"])
+        .output()
+        .expect("harness binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--pgo`"), "{stderr}");
+    assert!(out.stdout.is_empty(), "no experiment may run");
 }

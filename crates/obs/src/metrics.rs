@@ -22,10 +22,9 @@
 //! Keys are free-form dotted names registered by their recording sites.
 //! The harness's established namespaces: `op.<opcode>.*` (per-opcode
 //! dispatch/instruction/cycle totals), `profile.*` (per-run folded
-//! totals, including `profile.guided_instructions`), `fusion.<bench>.*`
-//! (coverage totals — `fused_instructions`, `guided_instructions`,
-//! `total_instructions`), `prep.cache.*` (preparation-cache hits and
-//! misses), `pgo.*` (profile-guided preparation warmups), and
+//! totals, including `profile.fused_instructions`), `fusion.<bench>.*`
+//! (coverage totals — `fused_instructions`, `total_instructions`),
+//! `prep.cache.*` (preparation-cache hits and misses), and
 //! `trigger.<kind>.*` (sampling-cadence histograms).
 
 use std::cell::RefCell;

@@ -4,7 +4,7 @@
 //! exactly the point where a fuel budget of `K` cycles exhausts — same
 //! function, same completion-vs-trap decision, same outcome when the
 //! program fits — in *every* engine: the naive tree-walker and the
-//! prepared engine unfused, statically fused, and profile-guided. If the
+//! prepared engine unfused and statically fused. If the
 //! stop points diverged between engines, the fault-tolerant harness would
 //! classify the same cell differently depending on which engine ran it.
 
@@ -13,8 +13,8 @@ use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
-    cancel, run_naive, run_prepared, run_prepared_profiled, ExecLimits, FuseGuidance, FuseMode,
-    OpProfile, PreparedModule, TrapKind, Trigger, VmConfig, VmError,
+    cancel, run_naive, run_prepared, ExecLimits, FuseMode, PreparedModule, TrapKind, Trigger,
+    VmConfig, VmError,
 };
 use isf_instr::{BlockCountInstrumentation, ModulePlan};
 use isf_integration_tests::compile;
@@ -64,7 +64,7 @@ fn cancel_matches_fuel(
     Ok(())
 }
 
-/// Asserts cancellation-at-`k` ≡ fuel-budget-`k` on all four engine
+/// Asserts cancellation-at-`k` ≡ fuel-budget-`k` on all three engine
 /// configurations for `module`.
 fn all_engines_cancel_like_fuel(module: &isf_ir::Module, k: u64) -> Result<(), TestCaseError> {
     cancel_matches_fuel("naive", k, |cfg| run_naive(module, cfg))?;
@@ -75,21 +75,6 @@ fn all_engines_cancel_like_fuel(module: &isf_ir::Module, k: u64) -> Result<(), T
     let fused = PreparedModule::prepare_with(module, &VmConfig::default().cost, FuseMode::Fuse);
     cancel_matches_fuel("prepared/fused", k, |cfg| run_prepared(&fused, cfg))?;
 
-    // Guided fusion as the harness produces it: a generous-budget warmup
-    // run of the fused form collects the profile the guidance distills.
-    let mut warmup = OpProfile::new();
-    let warmup_cfg = VmConfig {
-        limits: ExecLimits::cycles(500_000_000),
-        ..VmConfig::default()
-    };
-    if run_prepared_profiled(&fused, &warmup_cfg, &mut warmup).is_ok() {
-        let guided = PreparedModule::prepare_with(
-            module,
-            &VmConfig::default().cost,
-            FuseMode::Guided(Box::new(FuseGuidance::from_profile(&warmup))),
-        );
-        cancel_matches_fuel("prepared/guided", k, |cfg| run_prepared(&guided, cfg))?;
-    }
     Ok(())
 }
 

@@ -4,8 +4,8 @@
 //! locals window in local variables and writes them back to the frame
 //! record only at calls, returns, slice exits (switch requests) and traps
 //! (DESIGN.md decision 17). Each test drives one of those points and
-//! asserts that the prepared engine — unfused, statically fused and
-//! profile-guided, each plain and profiled through `fold_profile` — agrees
+//! asserts that the prepared engine — unfused and statically fused, each
+//! plain and profiled through `fold_profile` — agrees
 //! exactly with the tree-walking reference: output, cycles, instructions
 //! and every counter on success; trap kind and trapping function on
 //! failure; the per-opcode profile (exactly for the unfused form, in
@@ -14,8 +14,8 @@
 use isf_core::{instrument_module, Options, Strategy};
 use isf_exec::{
     cancel, run_naive, run_naive_profiled, run_naive_traced, run_prepared, run_prepared_profiled,
-    run_prepared_sched, ExecLimits, FuseGuidance, FuseMode, OpProfile, Outcome, PreparedModule,
-    SchedControl, TraceBuffer, TrapKind, Trigger, VmConfig, VmError,
+    run_prepared_sched, ExecLimits, FuseMode, OpProfile, Outcome, PreparedModule, SchedControl,
+    TraceBuffer, TrapKind, Trigger, VmConfig, VmError,
 };
 use isf_instr::{CallEdgeInstrumentation, FieldAccessInstrumentation, Instrumentation, ModulePlan};
 use isf_integration_tests::compile;
@@ -33,12 +33,7 @@ fn assert_engines_agree(module: &Module, cfg: &VmConfig) -> RunResult {
         naive,
         "naive profiling changed the run"
     );
-    let guidance = FuseGuidance::from_profile(&naive_profile);
-    let modes = [
-        ("unfused", FuseMode::Off),
-        ("fused", FuseMode::Fuse),
-        ("guided", FuseMode::Guided(Box::new(guidance))),
-    ];
+    let modes = [("unfused", FuseMode::Off), ("fused", FuseMode::Fuse)];
     for (name, mode) in modes {
         let prepared = PreparedModule::prepare_with(module, &cfg.cost, mode);
         assert_eq!(run_prepared(&prepared, cfg), naive, "{name}: result");
@@ -218,7 +213,7 @@ fn firing_checks_record_the_same_bursts_under_both_sinks() {
         Ok(naive_outcome)
     );
     for mode in [FuseMode::Off, FuseMode::Fuse] {
-        let prepared = PreparedModule::prepare_with(&m, &cfg.cost, mode.clone());
+        let prepared = PreparedModule::prepare_with(&m, &cfg.cost, mode);
         // Both sinks at once: the trace records each firing check's
         // `check_ip`, the profile counts the firing for the surcharge.
         let mut trace = TraceBuffer::new();

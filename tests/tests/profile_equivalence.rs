@@ -12,10 +12,9 @@ use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
 use isf_core::{instrument_module, Options, Strategy};
-use isf_exec::profile::FIRST_FUSED;
 use isf_exec::{
-    run_naive, run_naive_profiled, run_prepared, run_prepared_profiled, ExecLimits, FuseGuidance,
-    FuseMode, OpProfile, PreparedModule, ProfileSink, Trigger, VmConfig,
+    run_naive, run_naive_profiled, run_prepared, run_prepared_profiled, ExecLimits, FuseMode,
+    OpProfile, PreparedModule, Trigger, VmConfig,
 };
 use isf_instr::{
     BlockCountInstrumentation, CallEdgeInstrumentation, EdgeCountInstrumentation,
@@ -117,50 +116,6 @@ fn profiles_agree(module: &isf_ir::Module, cfg: &VmConfig) -> Result<(), TestCas
         "fusion changed the dynamic cycle count"
     );
 
-    // Guided fusion re-partitions blocks around a warmup profile. The
-    // realistic guidance is the fused run's own remainder profile (the
-    // harness's `--pgo` flow); the saturated one marks every plain opcode
-    // hot, forcing every eligible sequence into a generalized group.
-    let mut saturated = OpProfile::new();
-    for op in 0..FIRST_FUSED {
-        saturated.record_dispatches(op, 1, 1, 1);
-    }
-    for (guidance, label) in [
-        (
-            FuseGuidance::from_profile(&fused_profile),
-            "warmup guidance",
-        ),
-        (FuseGuidance::from_profile(&saturated), "saturated guidance"),
-    ] {
-        let guided =
-            PreparedModule::prepare_with(module, &cfg.cost, FuseMode::Guided(Box::new(guidance)));
-        let mut guided_profile = OpProfile::new();
-        let profiled_guided = run_prepared_profiled(&guided, cfg, &mut guided_profile);
-        prop_assert_eq!(
-            &profiled_guided,
-            &plain_naive,
-            "guided run diverged from the reference under {}",
-            label
-        );
-        prop_assert_eq!(
-            guided_profile.total_instructions(),
-            naive_profile.total_instructions(),
-            "{} changed the dynamic instruction count",
-            label
-        );
-        prop_assert_eq!(
-            guided_profile.total_cycles(),
-            naive_profile.total_cycles(),
-            "{} changed the dynamic cycle count",
-            label
-        );
-        prop_assert_eq!(
-            guided_profile.checks_per_sample().len(),
-            naive_profile.checks_per_sample().len(),
-            "{} changed the sample series",
-            label
-        );
-    }
     Ok(())
 }
 
